@@ -42,6 +42,7 @@ from .configs import (
 )
 from .field import FieldSpec, make_field, minpoly_constraint, order_constraint
 from .ideals import (
+    deletion_h_vectors,
     hilbert_function,
     hilbert_h_vector,
     ideal_dim,

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .ideals import (coprime_plane_curves, generated_to_next_degree,
-                     hilbert_h_vector, ideal_dim, ideal_kernel, monomials,
-                     num_monomials)
-from .projgeom import (CollisionDetected, ProjPoint, VertexInZ, flat_through,
-                       project_from, span_dim)
+from .ideals import (coprime_plane_curves, deletion_h_vectors,
+                     generated_to_next_degree, ideal_dim, ideal_kernel,
+                     monomials, num_monomials)
+from .projgeom import (CollisionDetected, VertexInZ, flat_through,
+                       project_from, random_point, span_dim)
 
 class NotSubset(ValueError):
     pass
@@ -53,17 +53,10 @@ class Decision:
         return self.verdict == YES
 
 
-def _random_vertex(nvars, p, rng):
-    while True:
-        v = [rng.randrange(p) for _ in range(nvars)]
-        if any(v):
-            return ProjPoint.make(v, p)
-
-
 def _project_general(points, p, rng, max_tries=25):
     """Project from a random vertex, resampling on collisions."""
     for _ in range(max_tries):
-        P = _random_vertex(points[0].ambient_dim + 1, p, rng)
+        P = random_point(points[0].ambient_dim + 1, p, rng)
         try:
             return P, project_from(P, points, seed=rng.randrange(1 << 30))
         except (VertexInZ, CollisionDetected):
@@ -353,11 +346,6 @@ def is_ci222_p4(points, trials=2, seed=0) -> Decision:
 # ---------------------------------------------------------------------------
 # Hilbert function behavior of subsets
 
-def _drop_one_h_vectors(pts, p):
-    return [hilbert_h_vector(pts[:i] + pts[i + 1:], p)
-            for i in range(len(pts))]
-
-
 def geprocb(points, trials=2, seed=0) -> Decision:
     """Whether all one-point-deleted subsets of the general projection
     share one Hilbert function."""
@@ -370,9 +358,9 @@ def geprocb(points, trials=2, seed=0) -> Decision:
             P, images = _project_general(points, p, rng)
         except CollisionDetected:
             continue
-        hs = _drop_one_h_vectors(images, p)
+        full, hs = deletion_h_vectors(images, p)
         data["h_vectors"] = sorted(set(hs))
-        data["full_h_vector"] = hilbert_h_vector(images, p)
+        data["full_h_vector"] = full
         dec.verdict = YES if len(set(hs)) == 1 else NO
         return dec
     return dec
@@ -382,9 +370,9 @@ def cbp_ambient(points, trials=1, seed=0) -> Decision:
     """Whether all one-point-deleted subsets of the points themselves
     (no projection) share one Hilbert function."""
     p = points[0].p
-    hs = _drop_one_h_vectors(list(points), p)
+    full, hs = deletion_h_vectors(list(points), p)
     data = {"n_points": len(points), "h_vectors": sorted(set(hs)),
-            "full_h_vector": hilbert_h_vector(list(points), p)}
+            "full_h_vector": full}
     verdict = YES if len(set(hs)) == 1 else NO
     return Decision(verdict, p, seed, trials, data)
 
@@ -420,9 +408,9 @@ def remembers(W_points, Z_points, m, trials=2, seed=0, probes=50) -> Decision:
                    if ideal_dim(img_w + [image_of[z]], m, p) != base]
         failing = 0
         for _ in range(probes):
-            q = _random_vertex(3, p, rng)
+            q = random_point(3, p, rng)
             while q in img_w:
-                q = _random_vertex(3, p, rng)
+                q = random_point(3, p, rng)
             if ideal_dim(img_w + [q], m, p) != base:
                 failing += 1
         data["probes"] = probes

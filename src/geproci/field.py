@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 # Primes are drawn from [2**30, 2**31) by default: large enough that random
 # genericity arguments have tiny failure probability, small enough that
-# products of two residues fit comfortably in int64.
+# products of two residues fit comfortably in int64. The exact linear
+# algebra relies on that, so no prime reaches PRIME_LIMIT.
 DEFAULT_MIN_BOUND = 2 ** 30
+PRIME_LIMIT = 2 ** 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -118,7 +120,7 @@ def _constraint_ok(p: int, constraint) -> bool:
 
 
 def choose_prime(constraints, min_bound: int = DEFAULT_MIN_BOUND, seed: int = 0) -> int:
-    """Smallest prime p >= min_bound satisfying every constraint.
+    """Smallest prime min_bound <= p < 2**31 satisfying every constraint.
 
     Order-n constraints need p = 1 (mod n); quadratic minpoly constraints
     need the discriminant to be a square mod p. Deterministic; seed is
@@ -128,10 +130,12 @@ def choose_prime(constraints, min_bound: int = DEFAULT_MIN_BOUND, seed: int = 0)
         raise ValueError("min_bound must be at least 100")
     constraints = list(constraints)
     p = max(min_bound, 101)
-    while True:
+    while p < PRIME_LIMIT:
         if is_prime(p) and all(_constraint_ok(p, c) for c in constraints):
             return p
         p += 1
+    raise ValueError(f"no suitable prime in [{min_bound}, 2**31): primes "
+                     f"must stay below 2**31 for exact int64 arithmetic")
 
 
 def _factorize(n: int):

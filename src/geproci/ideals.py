@@ -46,33 +46,23 @@ def num_monomials(nvars: int, degree: int) -> int:
     return math.comb(degree + nvars - 1, nvars - 1)
 
 
-def eval_monomials(point_coords, exps, p):
-    """Row vector (M_1(P), ..., M_N(P)) for the given exponent list.
+def _power_rows(coords, exps, p):
+    """Rows (M_1(P), ..., M_N(P)) for every coordinate tuple P, in one pass.
 
-    Vectorized over the monomials: per variable a table of powers is
-    built once, then indexed by the exponent column.
+    One table of powers per point and coordinate, shape
+    (points, nvars, degree + 1), is indexed by the exponent columns.
+    Every product is of two residues below p < 2**31, so it fits int64.
     """
     E = np.asarray(exps, dtype=np.int64)
-    if E.ndim == 1:
-        E = E.reshape(1, -1)
-    top = int(E.max()) if E.size else 0
-    row = np.ones(E.shape[0], dtype=np.int64)
-    for j, c in enumerate(point_coords):
-        c = int(c) % p
-        table = np.empty(top + 1, dtype=np.int64)
-        table[0] = 1
-        for e in range(1, top + 1):
-            table[e] = table[e - 1] * c % p
-        row = row * table[E[:, j]] % p
-    return row
-
-
-def _eval_one(coords, exp, p):
-    v = 1
-    for c, e in zip(coords, exp):
-        if e:
-            v = v * pow(int(c), e, p) % p
-    return v
+    C = np.array([[int(c) % p for c in P] for P in coords],
+                 dtype=np.int64).reshape(len(coords), E.shape[1])
+    pw = np.ones(C.shape + (int(E.max()) + 1,), dtype=np.int64)
+    for e in range(1, pw.shape[2]):
+        pw[:, :, e] = pw[:, :, e - 1] * C % p
+    rows = np.ones((C.shape[0], E.shape[0]), dtype=np.int64)
+    for j in range(E.shape[1]):
+        rows = rows * pw[:, j, E[:, j]] % p
+    return rows
 
 
 def _derivative_entry(m_exp, M_exp, coords, p):
@@ -105,11 +95,13 @@ def interp_matrix(scheme, t: int, p: int):
     if p <= t:
         raise CharTooSmall(f"need p > {t}")
     cols = monomials(nvars, t)
+    simple = iter(_power_rows([pt.coords for pt, mult in scheme if mult == 1],
+                              cols, p))
     rows = []
     for pt, mult in scheme:
         coords = pt.coords
         if mult == 1:
-            rows.append(eval_monomials(coords, cols, p))
+            rows.append(next(simple))
             continue
         if p <= mult:
             raise CharTooSmall(f"need p > multiplicity {mult}")
@@ -150,27 +142,54 @@ def _as_scheme(points_or_scheme):
 
 def hilbert_function(points, t: int, p: int) -> int:
     """Hilbert function of the coordinate ring of the point set at t."""
-    nvars = points[0].ambient_dim + 1
     if t < 0:
         return 0
     M = interp_matrix(simple_scheme(points), t, p)
     return linalg.rank(M, p)
 
 
-def hilbert_h_vector(points, p):
-    """First differences of the Hilbert function, up to saturation."""
-    n_pts = len(points)
+def _h_vector(hf, n_pts):
+    """First differences of hf(0), hf(1), ... for a set of n_pts points,
+    up to saturation at n_pts; gives up after degree n_pts + 1."""
     h = []
     prev = 0
     t = 0
-    while prev < n_pts:
-        cur = hilbert_function(points, t, p)
+    while prev < n_pts and t <= n_pts + 1:
+        cur = hf(t)
         h.append(cur - prev)
         prev = cur
         t += 1
-        if t > n_pts + 1:
-            break
     return tuple(h)
+
+
+def hilbert_h_vector(points, p):
+    """First differences of the Hilbert function, up to saturation."""
+    return _h_vector(lambda t: hilbert_function(points, t, p), len(points))
+
+
+def deletion_h_vectors(points, p):
+    """(h-vector of the points, [h-vector with point i deleted for each i]).
+
+    One evaluation matrix M_t and its left kernel K per degree serve every
+    deletion: rank M_t = n - dim K, and deleting row i keeps that rank
+    exactly when some vector of K is nonzero at i, else lowers it by one.
+    """
+    n = len(points)
+    ranks = []   # per degree: (rank M_t, [rank of M_t without row i])
+
+    def level(t):
+        while len(ranks) <= t:
+            M = interp_matrix(simple_scheme(points), len(ranks), p)
+            K = linalg.kernel_basis(M.T, p)
+            r = n - len(K)
+            kept = np.any(K, axis=0) if K else np.zeros(n, dtype=bool)
+            ranks.append((r, (r - 1 + kept).tolist()))
+        return ranks[t]
+
+    full = _h_vector(lambda t: level(t)[0], n)
+    dropped = [_h_vector(lambda t, i=i: level(t)[1][i], n - 1)
+               for i in range(n)]
+    return full, dropped
 
 
 def macaulay_matrix(points, d: int, Q_coords, p):
@@ -190,14 +209,11 @@ def macaulay_matrix(points, d: int, Q_coords, p):
     m_index = {m: j for j, m in enumerate(ms)}
     r = len(points)
     A = np.zeros((len(Ms), r + len(ms)), dtype=np.int64)
-    fact_d = math.factorial(d)
+    c = np.array([math.factorial(d) // multiplicity_weight(M) % p
+                  for M in Ms], dtype=np.int64)
+    A[:, :r] = (_power_rows([pt.coords for pt in points], Ms, p).T
+                * c[:, None] % p)
     for i, M in enumerate(Ms):
-        e_M = 1
-        for e in M:
-            e_M *= math.factorial(e)
-        c_M = (fact_d // e_M) % p
-        for j, pt in enumerate(points):
-            A[i, j] = c_M * _eval_one(pt.coords, M, p) % p
         for k in range(nvars):
             if M[k] == 0:
                 continue
@@ -208,35 +224,22 @@ def macaulay_matrix(points, d: int, Q_coords, p):
 
 def multiplicity_weight(M_exp) -> int:
     """Product of factorials of the exponents of a monomial."""
-    w = 1
-    for e in M_exp:
-        w *= math.factorial(e)
-    return w
+    return math.prod(math.factorial(e) for e in M_exp)
 
 
-def eval_form(coeffs, exps, coords, p) -> int:
-    v = 0
-    for c, e in zip(coeffs, exps):
-        if c % p:
-            v = (v + int(c) * _eval_one(coords, e, p)) % p
-    return v
+def form_values(coeffs, exps, coords, p):
+    """Values mod p of the form at each coordinate tuple in coords."""
+    c = np.asarray(coeffs, dtype=np.int64) % p
+    return (_power_rows(coords, exps, p) * c % p).sum(axis=1) % p
 
 
 def _univariate_slice(coeffs, exps, base, direction, degree, p):
-    """Coefficients of F(base + s*direction) as a polynomial in s.
-
-    Recovered by evaluating at degree+1 sample values and solving the
-    Vandermonde system.
-    """
-    xs = list(range(1, degree + 2))
-    ys = [eval_form(coeffs, exps,
-                    [(b + x * d) % p for b, d in zip(base, direction)], p)
-          for x in xs]
-    V = np.array([[pow(x, k, p) for k in range(degree + 1)] for x in xs],
-                 dtype=np.int64)
-    sol = linalg.mat_mul(linalg.inv_matrix(V, p),
-                         np.array(ys, dtype=np.int64).reshape(-1, 1), p)
-    return [int(v) for v in sol.ravel()]
+    """Coefficients of F(base + s*direction) as a polynomial in s,
+    interpolated from degree+1 sample values."""
+    line = [[(b + x * d) % p for b, d in zip(base, direction)]
+            for x in range(1, degree + 2)]
+    ys = form_values(coeffs, exps, line, p)
+    return [int(v) for v in linalg.interpolate(ys, p)]
 
 
 def coprime_plane_curves(F, G, a: int, b: int, p, seed: int = 0) -> bool:
@@ -263,7 +266,8 @@ def coprime_plane_curves(F, G, a: int, b: int, p, seed: int = 0) -> bool:
             if linalg.rank(linalg.as_matrix(M, p), p) != 3:
                 continue
             top = [M[i][2] for i in range(3)]
-            if eval_form(F, expF, top, p) and eval_form(G, expG, top, p):
+            if (form_values(F, expF, [top], p)[0]
+                    and form_values(G, expG, [top], p)[0]):
                 break
         else:
             continue

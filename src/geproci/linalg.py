@@ -8,6 +8,8 @@ every result deterministic.
 
 import numpy as np
 
+MAX_INNER_DIM = 2 ** 16   # largest inner dimension mat_mul keeps exact
+
 
 class NotSquare(ValueError):
     pass
@@ -110,9 +112,15 @@ def inv_matrix(M, p):
 
 
 def mat_mul(A, B, p):
-    """Exact A @ B mod p; splits B into 16-bit halves to dodge overflow."""
+    """Exact A @ B mod p; splits B into 16-bit halves to dodge overflow.
+
+    A low-half dot product sums terms below 2**31 * 2**16, so it stays
+    under 2**63 only for inner dimensions up to MAX_INNER_DIM."""
     A = as_matrix(A, p)
     B = as_matrix(B, p)
+    if A.shape[1] > MAX_INNER_DIM:
+        raise ValueError(f"inner dimension {A.shape[1]} exceeds 2**16, "
+                         f"the int64 limit of the 16-bit split")
     b_hi, b_lo = np.divmod(B, 1 << 16)
     hi = A @ b_hi % p
     lo = A @ b_lo % p
@@ -121,3 +129,12 @@ def mat_mul(A, B, p):
 
 def mat_vec(A, v, p):
     return mat_mul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1), p).ravel()
+
+
+def interpolate(ys, p):
+    """Ascending coefficients of the polynomial of degree < len(ys) whose
+    value at x = 1, 2, ..., len(ys) is ys[x - 1] (a Vandermonde solve)."""
+    n = len(ys)
+    V = np.array([[pow(x, k, p) for k in range(n)] for x in range(1, n + 1)],
+                 dtype=np.int64)
+    return mat_vec(inv_matrix(V, p), ys, p)

@@ -86,6 +86,14 @@ class Flat:
         return linalg.rank(linalg.as_matrix(M, self.p), self.p) == len(self.basis)
 
 
+def random_point(nvars, p, rng):
+    """Uniform nonzero vector of length nvars mod p, as a point."""
+    while True:
+        v = [rng.randrange(p) for _ in range(nvars)]
+        if any(v):
+            return ProjPoint.make(v, p)
+
+
 def _check_common(points):
     if not points:
         raise EmptyInput("need at least one point")

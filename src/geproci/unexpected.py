@@ -17,7 +17,8 @@ import numpy as np
 from . import linalg
 from .configs import Configuration, FlatUnion
 from .ideals import interp_matrix, num_monomials
-from .projgeom import ProjPoint, project_from, CollisionDetected, VertexInZ
+from .projgeom import (ProjPoint, project_from, random_point,
+                       CollisionDetected, VertexInZ)
 
 
 @dataclass
@@ -76,13 +77,6 @@ def _condition_points(Z, t, rng):
     return list(Z)
 
 
-def _random_point(nvars, p, rng):
-    while True:
-        v = [rng.randrange(p) for _ in range(nvars)]
-        if any(v):
-            return ProjPoint.make(v, p)
-
-
 def adim(Z, t, m, trials=2, seed=0) -> int:
     """dim of degree-t forms through Z vanishing to order m at a general
     point, minimized over random choices.
@@ -100,7 +94,7 @@ def adim(Z, t, m, trials=2, seed=0) -> int:
             uniq = list(dict.fromkeys(pts))
             images = None
             for _ in range(30):
-                P = _random_point(n + 1, p, rng)
+                P = random_point(n + 1, p, rng)
                 try:
                     images = project_from(P, uniq,
                                           seed=rng.randrange(1 << 30))
@@ -112,7 +106,7 @@ def adim(Z, t, m, trials=2, seed=0) -> int:
             M = interp_matrix([(q, 1) for q in images], t, p)
             val = num_monomials(n, t) - linalg.rank(M, p)
         else:
-            P = _random_point(n + 1, p, rng)
+            P = random_point(n + 1, p, rng)
             scheme = [(q, 1) for q in pts] + [(P, m)]
             M = interp_matrix(scheme, t, p)
             val = num_monomials(n + 1, t) - linalg.rank(M, p)
@@ -261,14 +255,9 @@ def verify_skeleton_T(n, p=None, seed=0, samples=5):
     deg = k + 1
     for _ in range(samples):
         B = [rng.randrange(p) for _ in range(N + 1)]
-        xs = list(range(1, deg + 2))
-        ys = [eval_skeleton_T(
-            coeffs, [(q + x * d) % p for q, d in zip(a, B)], p) for x in xs]
-        V = np.array([[pow(x, j, p) for j in range(deg + 1)] for x in xs],
-                     dtype=np.int64)
-        sol = linalg.mat_mul(linalg.inv_matrix(V, p),
-                             np.array(ys, dtype=np.int64).reshape(-1, 1),
-                             p).ravel()
+        ys = [eval_skeleton_T(coeffs, [(q + x * d) % p for q, d in zip(a, B)],
+                              p) for x in range(1, deg + 2)]
+        sol = linalg.interpolate(ys, p)
         nz = [j for j in range(deg + 1) if sol[j] % p]
         this = nz[0] if nz else deg + 1
         order = this if order is None else min(order, this)

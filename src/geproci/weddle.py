@@ -10,11 +10,9 @@ lines, and membership of a given Q is a rank-drop test.
 
 import random
 
-import numpy as np
-
 from . import linalg
 from .ideals import interp_matrix, num_monomials
-from .projgeom import ProjPoint
+from .projgeom import ProjPoint, random_point
 
 IDENTICALLY_ZERO = "IdenticallyZero"
 
@@ -42,20 +40,13 @@ def _require_square(points, d):
             f"got {len(points)}")
 
 
-def _random_point(nvars, p, rng):
-    while True:
-        v = [rng.randrange(p) for _ in range(nvars)]
-        if any(v):
-            return ProjPoint.make(v, p)
-
-
 def generic_rank(points, d, seed=0, trials=3):
     """Rank of the system at a random vertex (max over a few samples)."""
     p = points[0].p
     rng = random.Random(repr((seed, "weddle-rank")))
     best = 0
     for _ in range(trials):
-        Q = _random_point(_nvars(points), p, rng)
+        Q = random_point(_nvars(points), p, rng)
         best = max(best, linalg.rank(weddle_matrix(points, d, Q), p))
     return best
 
@@ -104,17 +95,12 @@ def weddle_degree(points, d, seed=0, lines=3):
         B = [rng.randrange(p) for _ in range(nvars)]
         if not any(A) or not any(B):
             continue
-        xs = list(range(1, bound + 2))
         ys = [_det_at(points, d,
                       [(a + x * b) % p for a, b in zip(A, B)], p)
-              for x in xs]
+              for x in range(1, bound + 2)]
         if not any(ys):
             continue
-        V = np.array([[pow(x, k, p) for k in range(bound + 1)] for x in xs],
-                     dtype=np.int64)
-        sol = linalg.mat_mul(linalg.inv_matrix(V, p),
-                             np.array(ys, dtype=np.int64).reshape(-1, 1),
-                             p).ravel()
+        sol = linalg.interpolate(ys, p)
         deg = max(k for k in range(bound + 1) if sol[k] % p)
         best = deg if best is None else max(best, deg)
     return IDENTICALLY_ZERO if best is None else best

@@ -225,6 +225,15 @@ def test_missing_file_is_usage_error(capsys):
     assert run(capsys, "census", "lines", "/nonexistent.json")[0] == 3
 
 
+def test_prime_above_int64_safe_range_is_usage_error(d4_file, capsys):
+    code = main(["check", "geproci", "-a", "3", "-b", "4",
+                 "--prime", "5000000000", d4_file])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "2**31" in err
+
+
 def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 3
 

@@ -38,6 +38,15 @@ def test_choose_prime_default_bound():
         assert not is_prime(q)
 
 
+def test_choose_prime_stays_below_2_to_31():
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        choose_prime([], min_bound=2**31)
+    # 2**31 - 1 is the only prime left, and 5 does not divide 2**31 - 2
+    assert choose_prime([], min_bound=2**31 - 10) == 2**31 - 1
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        make_field([("u", order_constraint(5))], min_bound=2**31 - 10)
+
+
 def test_choose_prime_order_constraint():
     p = choose_prime([order_constraint(7)])
     assert p % 7 == 1

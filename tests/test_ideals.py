@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geproci import linalg
 from geproci.field import make_field
@@ -11,7 +12,7 @@ from geproci.ideals import (
     CharTooSmall,
     ZeroForm,
     coprime_plane_curves,
-    eval_monomials,
+    deletion_h_vectors,
     generated_to_next_degree,
     hilbert_function,
     hilbert_h_vector,
@@ -24,7 +25,7 @@ from geproci.ideals import (
     num_monomials,
     simple_scheme,
 )
-from geproci.projgeom import ProjPoint
+from geproci.projgeom import ProjPoint, segre
 
 from oracles import eval_monomial
 
@@ -48,14 +49,28 @@ def test_monomials_count_and_order():
             assert list(ms) == sorted(ms, reverse=True)
 
 
-def test_eval_monomials_matches_naive():
+def test_interp_matrix_matches_naive():
     rng = random.Random(1)
     exps = monomials(4, 3)
-    for _ in range(10):
-        coords = [rng.randrange(P) for _ in range(4)]
-        row = eval_monomials(coords, exps, P)
+    pts = [ProjPoint(tuple(rng.randrange(P) for _ in range(4)), P)
+           for _ in range(10)]
+    M = interp_matrix(simple_scheme(pts), 3, P)
+    assert M.shape == (10, len(exps)) and M.dtype == np.int64
+    for row, q in zip(M, pts):
         for v, e in zip(row, exps):
-            assert v == eval_monomial(coords, e, P)
+            assert v == eval_monomial(q.coords, e, P)
+    # mixed scheme: a double point's four first-derivative rows keep their
+    # place between the simple points' rows
+    a, b, c = pts[:3]
+    mixed = interp_matrix([(a, 1), (b, 2), (c, 1)], 3, P)
+    assert mixed.shape == (6, len(exps))
+    assert np.array_equal(mixed[0], M[0])
+    assert np.array_equal(mixed[5], M[2])
+    for k in range(4):
+        for v, e in zip(mixed[1 + k], exps):
+            lower = tuple(x - (j == k) for j, x in enumerate(e))
+            want = e[k] * eval_monomial(b.coords, lower, P) if e[k] else 0
+            assert v == want % P
 
 
 def test_ideal_dim_empty_and_single_point():
@@ -207,3 +222,48 @@ def test_generated_to_next_degree_general_points():
     pts = [rand_pt(rng, 3) for _ in range(3)]
     # 3 general plane points: conics through them generate the cubics
     assert generated_to_next_degree(pts, 2, P)
+
+
+# ---------------------------------------------------------------------------
+# one-point deletions from one elimination per degree
+
+def _assert_deletions_match_brute_force(pts):
+    full, dropped = deletion_h_vectors(pts, P)
+    assert full == hilbert_h_vector(pts, P)
+    assert dropped == [hilbert_h_vector(pts[:i] + pts[i + 1:], P)
+                       for i in range(len(pts))]
+    return full, dropped
+
+
+def test_deletion_h_vectors_match_brute_force():
+    rng = random.Random(23)
+    # four collinear points plus general points in the plane
+    line = [pt(1, k, 0) for k in range(4)]
+    _assert_deletions_match_brute_force(
+        line + [rand_pt(rng, 3) for _ in range(3)])
+    # six points on the conic xz = y^2
+    conic = [pt(1, k, k * k) for k in range(6)]
+    full, dropped = _assert_deletions_match_brute_force(conic)
+    assert full == (1, 2, 2, 1)
+    # ten points on a smooth quadric plus one general point: some deletion
+    # changes the Hilbert function, so cbp_ambient is No
+    eleven = [segre(rand_pt(rng, 2), rand_pt(rng, 2)) for _ in range(10)]
+    eleven.append(rand_pt(rng, 4))
+    full, dropped = _assert_deletions_match_brute_force(eleven)
+    assert len(set(dropped)) > 1
+    # four general plane points saturate in degree 2, any three in degree 1
+    full, dropped = _assert_deletions_match_brute_force(
+        [rand_pt(rng, 3) for _ in range(4)])
+    assert full == (1, 2, 1)
+    assert set(dropped) == {(1, 2)}
+
+
+@given(st.integers(min_value=2, max_value=3),
+       st.lists(st.lists(st.integers(min_value=-2, max_value=2),
+                         min_size=4, max_size=4),
+                min_size=1, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_deletion_h_vectors_agree_with_brute_force(ambient, rows):
+    pts = [pt(*row[:ambient + 1]) for row in rows if any(row[:ambient + 1])]
+    if pts:
+        _assert_deletions_match_brute_force(pts)

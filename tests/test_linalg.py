@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from geproci import linalg
 from geproci.linalg import (
+    MAX_INNER_DIM,
     NotSquare,
     as_matrix,
     det,
@@ -88,6 +89,18 @@ def test_mat_mul_large_entries_no_overflow():
     B = as_matrix([[a]] * 64, P)
     got = mat_mul(A, B, P)[0, 0]
     assert got == (64 * a * a) % P
+
+
+def test_mat_mul_inner_dimension_limit():
+    # largest low-half product for p < 2**31: a sum of MAX_INNER_DIM of
+    # them fits int64, a sum of twice as many does not
+    term = (2**31 - 2) * (2**16 - 1)
+    assert MAX_INNER_DIM * term < 2**63 <= 2 * MAX_INNER_DIM * term
+    # zero-row and zero-column shapes exercise the guard without data
+    k = MAX_INNER_DIM
+    assert mat_mul(np.zeros((0, k)), np.zeros((k, 0)), P).shape == (0, 0)
+    with pytest.raises(ValueError, match=r"2\*\*16"):
+        mat_mul(np.zeros((0, k + 1)), np.zeros((k + 1, 0)), P)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
