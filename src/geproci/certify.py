@@ -8,7 +8,6 @@ most a fixed degree bound divided by the field size; anything the
 evidence cannot settle comes back "Inconclusive".
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -16,11 +15,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
+from .combinat import line_census
 from .ideals import (coprime_plane_curves, deletion_h_vectors,
                      generated_to_next_degree, ideal_dim, ideal_kernel,
                      monomials, num_monomials)
-from .projgeom import (CollisionDetected, VertexInZ, flat_through,
-                       project_from, random_point, span_dim)
+from .projgeom import (CollisionDetected, flat_through, project_general,
+                       random_point, span_dim)
 
 class NotSubset(ValueError):
     pass
@@ -51,17 +51,6 @@ class Decision:
 
     def __bool__(self):
         return self.verdict == YES
-
-
-def _project_general(points, p, rng, max_tries=25):
-    """Project from a random vertex, resampling on collisions."""
-    for _ in range(max_tries):
-        P = random_point(points[0].ambient_dim + 1, p, rng)
-        try:
-            return P, project_from(P, points, seed=rng.randrange(1 << 30))
-        except (VertexInZ, CollisionDetected):
-            continue
-    raise CollisionDetected("no collision-free projection vertex found")
 
 
 def _multiples_span(F, a, b, p):
@@ -134,7 +123,7 @@ def is_geproci(points, a, b, trials=2, seed=0, prime=None) -> Decision:
     saw_pass = False
     for trial in range(trials):
         try:
-            P, images = _project_general(points, p, rng)
+            images = project_general(points, rng)
         except CollisionDetected:
             data["dims"].append("collision")
             continue
@@ -171,23 +160,10 @@ def is_geproci(points, a, b, trials=2, seed=0, prime=None) -> Decision:
 # ---------------------------------------------------------------------------
 # grids
 
-def _lines_with_counts(points):
-    """Map line -> set of the points on it, over all point pairs.
-
-    Grouping pairs by the canonical form of their joining line collects
-    every point of the set on each line without any containment scans.
-    """
-    lines = {}
-    for q1, q2 in itertools.combinations(points, 2):
-        f = flat_through([q1, q2])
-        lines.setdefault(f, set()).update((q1, q2))
-    return lines
-
-
 def _covers_with_lines(points, lines, size, exclude=(), limit=50):
     """Yield up to `limit` exact covers of the points by disjoint lines
     of exactly `size` points each (excluding some lines if asked)."""
-    usable = {frozenset(v) for v in lines.values() if len(v) == size}
+    usable = {v for v in lines.values() if len(v) == size}
     usable -= set(exclude)
     by_point = {q: [s for s in usable if q in s] for q in points}
     if any(not opts for opts in by_point.values()):
@@ -252,7 +228,7 @@ def detect_grid(points, seed=0, trials=2):
     """
     n = len(points)
     p = points[0].p
-    lines = _lines_with_counts(points)
+    lines = line_census(points).members
     sizes = {len(v) for v in lines.values()}
     rng = random.Random(repr((seed, "detect-grid")))
     dim_cache = {}
@@ -262,7 +238,7 @@ def detect_grid(points, seed=0, trials=2):
         projection must admit a curve of degree lo."""
         if "images" not in dim_cache:
             try:
-                _, dim_cache["images"] = _project_general(points, p, rng)
+                dim_cache["images"] = project_general(points, rng)
             except CollisionDetected:
                 return True
         key = ("dim", lo)
@@ -323,7 +299,7 @@ def is_ci222_p4(points, trials=2, seed=0) -> Decision:
     rng = random.Random(repr((seed, "ci222")))
     for _ in range(trials):
         try:
-            P, images = _project_general(points, p, rng)
+            images = project_general(points, rng)
         except CollisionDetected:
             data["trials_detail"].append("collision")
             continue
@@ -355,7 +331,7 @@ def geprocb(points, trials=2, seed=0) -> Decision:
     rng = random.Random(repr((seed, "geprocb")))
     for _ in range(trials):
         try:
-            P, images = _project_general(points, p, rng)
+            images = project_general(points, rng)
         except CollisionDetected:
             continue
         full, hs = deletion_h_vectors(images, p)
@@ -368,7 +344,8 @@ def geprocb(points, trials=2, seed=0) -> Decision:
 
 def cbp_ambient(points, trials=1, seed=0) -> Decision:
     """Whether all one-point-deleted subsets of the points themselves
-    (no projection) share one Hilbert function."""
+    (no projection) share one Hilbert function. Exact: seed and trials
+    are only reported and do not change the result."""
     p = points[0].p
     full, hs = deletion_h_vectors(list(points), p)
     data = {"n_points": len(points), "h_vectors": sorted(set(hs)),
@@ -397,7 +374,7 @@ def remembers(W_points, Z_points, m, trials=2, seed=0, probes=50) -> Decision:
     dec = Decision(INCONCLUSIVE, p, seed, trials, data)
     for _ in range(trials):
         try:
-            P, images = _project_general(list(Z_points), p, rng)
+            images = project_general(list(Z_points), rng)
         except CollisionDetected:
             continue
         image_of = dict(zip(Z_points, images))

@@ -3,7 +3,7 @@
 Subcommands construct configurations, run the certification checks, and
 print JSON reports of the form {"verdict", "prime", "seed", "trials",
 "data"}. Exit codes: 0 = Yes/pass, 1 = No/fail, 2 = Inconclusive,
-3 = usage or I/O error.
+3 = usage, input or unexpected error.
 """
 
 import argparse
@@ -11,16 +11,16 @@ import json
 import sys
 
 from . import certify, combinat, configs, ks, unexpected, weddle
-from .certify import YES, NO, INCONCLUSIVE
+from .certify import YES, NO, INCONCLUSIVE, Decision
 
 
-def _report(verdict, prime, seed, trials, data):
-    return {"verdict": verdict, "prime": prime, "seed": seed,
-            "trials": trials, "data": data}
+_EXIT = {YES: 0, NO: 1, INCONCLUSIVE: 2, certify.DEGENERATE: 1}
 
 
-def _emit(report, as_json):
-    if as_json:
+def _emit(decision, args):
+    """Print the decision as JSON or as text; return its exit code."""
+    report = decision.to_json()
+    if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         print(f"verdict: {report['verdict']}")
@@ -28,20 +28,7 @@ def _emit(report, as_json):
         print(f"seed:    {report['seed']}  trials: {report['trials']}")
         for k in sorted(report["data"]):
             print(f"{k}: {report['data'][k]}")
-
-
-_EXIT = {YES: 0, NO: 1, INCONCLUSIVE: 2, certify.DEGENERATE: 1}
-
-
-def _exit_code(verdict):
-    return _EXIT.get(verdict, 1)
-
-
-def _load(path, min_bound=None):
-    kwargs = {}
-    if min_bound:
-        kwargs["min_bound"] = min_bound
-    return configs.load(path, **kwargs)
+    return _EXIT[decision.verdict]
 
 
 def _cmd_construct(args):
@@ -56,45 +43,38 @@ def _cmd_construct(args):
     else:
         cfg = configs.named(kind)
     configs.save(cfg, args.output)
-    report = _report(YES, cfg.field.p, 0, 0,
-                     {"label": cfg.label, "n_points": len(cfg.points),
-                      "file": args.output})
-    _emit(report, args.json)
-    return 0
+    return _emit(Decision(YES, cfg.field.p, 0, 0,
+                          {"label": cfg.label, "n_points": len(cfg.points),
+                           "file": args.output}), args)
 
 
 def _cmd_check_geproci(args):
-    cfg = _load(args.file, args.prime)
-    d = certify.is_geproci(cfg.points, args.a, args.b,
-                           trials=args.trials, seed=args.seed)
-    _emit(d.to_json(), args.json)
-    return _exit_code(d.verdict)
+    cfg = configs.load(args.file, args.prime or configs.DEFAULT_MIN_BOUND)
+    return _emit(certify.is_geproci(cfg.points, args.a, args.b,
+                                    trials=args.trials, seed=args.seed), args)
 
 
 def _cmd_check_ci222(args):
-    cfg = _load(args.file)
-    d = certify.is_ci222_p4(cfg.points, trials=args.trials, seed=args.seed)
-    _emit(d.to_json(), args.json)
-    return _exit_code(d.verdict)
+    cfg = configs.load(args.file)
+    return _emit(certify.is_ci222_p4(cfg.points, trials=args.trials,
+                                     seed=args.seed), args)
 
 
 def _cmd_census(args):
-    cfg = _load(args.file)
+    cfg = configs.load(args.file)
     census = (combinat.line_census if args.what == "lines"
               else combinat.plane_census)(cfg)
     hist = {str(k): v for k, v in sorted(census.histogram.items())}
-    report = _report(YES, cfg.field.p, 0, 0,
-                     {"flat_dim": census.flat_dim, "histogram": hist})
-    if args.json:
-        _emit(report, True)
-    else:
+    if not args.json:
         print(json.dumps(hist, sort_keys=True))
-    return 0
+        return 0
+    return _emit(Decision(YES, cfg.field.p, 0, 0,
+                          {"flat_dim": census.flat_dim, "histogram": hist}),
+                 args)
 
 
 def _cmd_weddle(args):
-    cfg = _load(args.file)
-    p = cfg.field.p
+    cfg = configs.load(args.file)
     if args.what == "degree":
         deg = weddle.weddle_degree(cfg.points, args.d, seed=args.seed)
         data = {"degree": deg}
@@ -103,19 +83,17 @@ def _cmd_weddle(args):
         if not args.probe:
             print("weddle member needs --probe FILE", file=sys.stderr)
             return 3
-        probe = _load(args.probe)
+        probe = configs.load(args.probe)
         flags = [bool(weddle.weddle_member(cfg.points, args.d, Q,
                                            seed=args.seed))
                  for Q in probe.points]
         data = {"members": flags}
         verdict = YES if all(flags) else NO
-    _emit(_report(verdict, p, args.seed, 1, data), args.json)
-    return _exit_code(verdict)
+    return _emit(Decision(verdict, cfg.field.p, args.seed, 1, data), args)
 
 
 def _cmd_unexpected(args):
-    cfg = _load(args.file)
-    p = cfg.field.p
+    cfg = configs.load(args.file)
     if args.what == "adim":
         val = unexpected.adim(cfg, args.t, args.m, seed=args.seed)
         data, verdict = {"adim": val}, YES
@@ -127,42 +105,52 @@ def _cmd_unexpected(args):
         data = {"t": rep.t, "adim": rep.adim, "vdim": rep.vdim,
                 "unexpected": rep.unexpected}
         verdict = YES if rep.unexpected else NO
-    _emit(_report(verdict, p, args.seed, 2, data), args.json)
-    return _exit_code(verdict)
+    return _emit(Decision(verdict, cfg.field.p, args.seed, 2, data), args)
 
 
 def _cmd_ks(args):
-    cfg = _load(args.file)
+    cfg = configs.load(args.file)
     g = ks.ortho_graph(cfg, seed=args.seed)
     verdict = YES if ks.is_ks_set(g) else NO
     data = {"edges": len(g.edges), "bases": len(g.bases),
             "max_cliques": len(g.max_cliques),
             "primes": list(g.primes)}
-    _emit(_report(verdict, cfg.field.p, args.seed, 1, data), args.json)
-    return _exit_code(verdict)
+    return _emit(Decision(verdict, cfg.field.p, args.seed, 1, data), args)
 
 
 def _cmd_cbp(args):
-    cfg = _load(args.file)
+    cfg = configs.load(args.file)
     fn = certify.cbp_ambient if args.ambient else certify.geprocb
-    d = fn(cfg.points, seed=args.seed)
-    _emit(d.to_json(), args.json)
-    return _exit_code(d.verdict)
+    return _emit(fn(cfg.points, seed=args.seed), args)
+
+
+def _subset_indices(path, n):
+    """Point indices from a JSON file: a non-empty list of distinct
+    integers in [0, n)."""
+    with open(path, encoding="utf-8") as fh:
+        indices = json.load(fh)
+    if not isinstance(indices, list) or not indices:
+        raise ValueError(f"{path}: expected a non-empty JSON list of point "
+                         f"indices")
+    for k, i in enumerate(indices):
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"{path}: entry {k} ({json.dumps(i)}) is not a "
+                             f"point index in [0, {n})")
+        if i in indices[:k]:
+            raise ValueError(f"{path}: entry {k} repeats point index {i}")
+    return indices
 
 
 def _cmd_remember(args):
-    cfg = _load(args.file)
-    with open(args.subset) as fh:
-        indices = json.load(fh)
-    W = [cfg.points[i] for i in indices]
-    d = certify.remembers(W, cfg.points, args.m, seed=args.seed)
-    _emit(d.to_json(), args.json)
-    return _exit_code(d.verdict)
+    cfg = configs.load(args.file)
+    W = [cfg.points[i] for i in _subset_indices(args.subset, len(cfg.points))]
+    return _emit(certify.remembers(W, cfg.points, args.m, seed=args.seed),
+                 args)
 
 
 def _cmd_equiv(args):
-    c1 = _load(args.file1)
-    c2 = _load(args.file2)
+    c1 = configs.load(args.file1)
+    c2 = configs.load(args.file2)
     status, detail = combinat.weak_comb_equivalent(c1, c2)
     verdict = {"Equivalent": YES, "Distinguished": NO,
                "Unknown": INCONCLUSIVE}[status]
@@ -171,8 +159,7 @@ def _cmd_equiv(args):
         data["bijection"] = detail
     elif status == "Distinguished":
         data["invariant"] = detail
-    _emit(_report(verdict, c1.field.p, 0, 1, data), args.json)
-    return _exit_code(verdict)
+    return _emit(Decision(verdict, c1.field.p, 0, 1, data), args)
 
 
 def _suite_items():
@@ -192,16 +179,15 @@ def _suite_items():
         return (label, run)
 
     import random as _random
-    from .projgeom import ProjPoint
+    from .field import choose_prime
+    from .projgeom import random_point
 
     def random_points(n_pts, dim, seed):
-        from .field import make_field
-        fs = make_field([], seed=seed)
+        p = choose_prime([])
         rng = _random.Random(repr((seed, "suite")))
         out = []
         while len(out) < n_pts:
-            q = ProjPoint.make([rng.randrange(fs.p)
-                                for _ in range(dim + 1)], fs.p)
+            q = random_point(dim + 1, p, rng)
             if q not in out:
                 out.append(q)
         return out
@@ -364,11 +350,14 @@ def main(argv=None):
         args.m = args.t
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a fault of the program, or an input the checks cannot handle
+        # (say, a projection collision that persists after resampling):
+        # never let it pass for a "No" verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

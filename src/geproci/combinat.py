@@ -41,7 +41,9 @@ def _line_members(points):
     for q1, q2 in itertools.combinations(points, 2):
         f = flat_through([q1, q2])
         lines.setdefault(f, set()).update((q1, q2))
-    return {f: frozenset(v) for f, v in lines.items()}
+    for f, v in lines.items():  # in place, so no second copy is alive
+        lines[f] = frozenset(v)
+    return lines
 
 
 def line_census(Z) -> IncidenceCensus:

@@ -320,10 +320,10 @@ def grid(a, b, params_a, params_b, fs: FieldSpec, label=None):
                          tags={"grid": (a, b)})
 
 
-def unity_grid(a, b, min_bound=DEFAULT_MIN_BOUND, seed=0):
+def unity_grid(a, b, min_bound=DEFAULT_MIN_BOUND):
     """An (a,b)-grid with roots-of-unity parameters on both sides."""
     m = math.lcm(a, b)
-    fs = make_field([("u", order_constraint(m))], min_bound, seed)
+    fs = make_field([("u", order_constraint(m))], min_bound)
     u = fs.symbols["u"]
     pa = [(1, pow(u, (m // a) * i, fs.p)) for i in range(a)]
     pb = [(1, pow(u, (m // b) * j, fs.p)) for j in range(b)]
@@ -342,16 +342,15 @@ def _std_exprs(n, which):
     return rows
 
 
-def std_construction(n, which, min_bound=DEFAULT_MIN_BOUND, seed=0,
-                     _allow_odd=False):
+def std_construction(n, which, min_bound=DEFAULT_MIN_BOUND):
     """The roots-of-unity grid plus one or two external collinear sets."""
     if which not in ("Y1", "Y2", "Y1Y2"):
         raise ValueError("which must be Y1, Y2 or Y1Y2")
     if n < 3:
         raise ValueError("need n >= 3")
-    if which == "Y1Y2" and n % 2 and not _allow_odd:
+    if which == "Y1Y2" and n % 2:
         raise OddNForY1Y2("the combined extension needs even n")
-    fs = make_field([("u", order_constraint(n))], min_bound, seed)
+    fs = make_field([("u", order_constraint(n))], min_bound)
     cfg = _from_exprs(f"std{n}{which}", 3, fs, _std_exprs(n, which),
                       tags={"std": (n, which)})
     return cfg
@@ -389,13 +388,13 @@ def remove_lines(cfg: Configuration, lines):
     return out
 
 
-def skeleton(n, codim, min_bound=DEFAULT_MIN_BOUND, seed=0):
+def skeleton(n, codim, min_bound=DEFAULT_MIN_BOUND):
     """Union of coordinate flats of the given codimension in n-space."""
     if n < 2:
         raise ValueError("need n >= 2")
     if codim not in (2, n - 1):
         raise ValueError("only lines and codimension-2 flats are supported")
-    fs = make_field([], min_bound, seed)
+    fs = make_field([], min_bound)
     k = n - codim  # flat dimension
     pts = [ProjPoint.make(tuple(1 if j == i else 0 for j in range(n + 1)),
                           fs.p) for i in range(n + 1)]
@@ -404,9 +403,9 @@ def skeleton(n, codim, min_bound=DEFAULT_MIN_BOUND, seed=0):
     return FlatUnion(n, flats, fs)
 
 
-def _int_config(label, n, rows, min_bound=DEFAULT_MIN_BOUND, seed=0,
+def _int_config(label, n, rows, min_bound=DEFAULT_MIN_BOUND,
                 symbols=(), tags=None):
-    fs = make_field(list(symbols), min_bound, seed)
+    fs = make_field(list(symbols), min_bound)
     return _from_exprs(label, n, fs, rows, tags=tags)
 
 
@@ -484,9 +483,9 @@ def _columns_config(label, mats, fs, tags=None):
     return Configuration(label, 3, fs, pts, tags=tags or {})
 
 
-def rays300(min_bound=DEFAULT_MIN_BOUND, seed=0):
+def rays300(min_bound=DEFAULT_MIN_BOUND):
     """300 rays generated as matrix columns from the icosian generators."""
-    fs = make_field([_GOLDEN], min_bound, seed)
+    fs = make_field([_GOLDEN], min_bound)
     p = fs.p
     U, V, W = _generator_matrices(fs)
     mats = []
@@ -504,9 +503,9 @@ def rays300(min_bound=DEFAULT_MIN_BOUND, seed=0):
     return _columns_config("rays300", mats, fs)
 
 
-def points120(min_bound=DEFAULT_MIN_BOUND, seed=0):
+def points120(min_bound=DEFAULT_MIN_BOUND):
     """The 120-point configuration from the extended generator family."""
-    fs = make_field([_GOLDEN, _SQRT2], min_bound, seed)
+    fs = make_field([_GOLDEN, _SQRT2], min_bound)
     p = fs.p
     U, V, _ = _generator_matrices(fs)
     T = linalg.as_matrix(
@@ -526,18 +525,18 @@ def points120(min_bound=DEFAULT_MIN_BOUND, seed=0):
     return _columns_config("points120", mats, fs)
 
 
-def klein(min_bound=DEFAULT_MIN_BOUND, seed=0):
+def klein(min_bound=DEFAULT_MIN_BOUND):
     """60 points: the extended fourth-roots configuration plus a (4,6)-grid
     on the twin quadric xw + yz = 0."""
-    base = extend_standard(std_construction(4, "Y1Y2", min_bound, seed))
+    base = extend_standard(std_construction(4, "Y1Y2", min_bound))
     rows = [list(e) for e in base.exprs] + [list(r) for r in _KLEIN_EXTRA24]
     return _from_exprs("klein", 3, base.field, rows, tags={"klein": True})
 
 
-def klein_grid66(min_bound=DEFAULT_MIN_BOUND, seed=0):
+def klein_grid66(min_bound=DEFAULT_MIN_BOUND):
     """The (6,6)-grid inside the Klein configuration (the 36 points on
     xw = yz), as row-major grid points."""
-    fs = make_field([("u", order_constraint(4))], min_bound, seed)
+    fs = make_field([("u", order_constraint(4))], min_bound)
     p = fs.p
     u = fs.symbols["u"]
     params = [(1, 1), (1, u), (1, pow(u, 2, p)), (1, pow(u, 3, p)),
@@ -545,20 +544,20 @@ def klein_grid66(min_bound=DEFAULT_MIN_BOUND, seed=0):
     return grid(6, 6, params, params, fs, label="klein-grid66")
 
 
-def klein_memory(min_bound=DEFAULT_MIN_BOUND, seed=0):
+def klein_memory(min_bound=DEFAULT_MIN_BOUND):
     """27-point subset of the Klein configuration: the staircase part of
     its (6,6)-grid plus one off-quadric point."""
-    g = klein_grid66(min_bound, seed)
+    g = klein_grid66(min_bound)
     idx = [6 * i + j for i in range(6) for j in range(6) if i + j <= 6]
     pts = [g.points[k] for k in idx]
     extra = ProjPoint.make((1, 0, 0, 1), g.field.p)
     return Configuration("klein-memory", 3, g.field, pts + [extra])
 
 
-def h4(min_bound=DEFAULT_MIN_BOUND, seed=0):
+def h4(min_bound=DEFAULT_MIN_BOUND):
     """60 points: fifth-roots grid with both external lines plus a scaled
     twin grid."""
-    fs = make_field([("u", order_constraint(5))], min_bound, seed)
+    fs = make_field([("u", order_constraint(5))], min_bound)
     rows = _std_exprs(5, "Y1Y2")
     q = "(u^(-1)+u-1)"
     for i in range(5):
@@ -567,13 +566,13 @@ def h4(min_bound=DEFAULT_MIN_BOUND, seed=0):
     return _from_exprs("h4", 3, fs, rows, tags={"h4": True})
 
 
-def penrose(min_bound=DEFAULT_MIN_BOUND, seed=0):
-    fs = make_field([("t", minpoly_constraint([1, -1, 1]))], min_bound, seed)
+def penrose(min_bound=DEFAULT_MIN_BOUND):
+    fs = make_field([("t", minpoly_constraint([1, -1, 1]))], min_bound)
     return _from_exprs("penrose", 3, fs, _PENROSE, tags={"penrose": True})
 
 
-def half_penrose(min_bound=DEFAULT_MIN_BOUND, seed=0):
-    cfg = penrose(min_bound, seed)
+def half_penrose(min_bound=DEFAULT_MIN_BOUND):
+    cfg = penrose(min_bound)
     out = cfg.subset([i - 1 for i in HALF_PENROSE_INDICES],
                      label="half-penrose")
     return out
@@ -582,11 +581,11 @@ def half_penrose(min_bound=DEFAULT_MIN_BOUND, seed=0):
 _Z56_ROWS = {1: (0, 1, 2, 3), 2: (0, 1, 3, 4), 3: (0, 2, 3, 4)}
 
 
-def z56(which, min_bound=DEFAULT_MIN_BOUND, seed=0):
+def z56(which, min_bound=DEFAULT_MIN_BOUND):
     """One of the three 30-point subsets of the sixth-roots grid plus its
     external line: a 4x6 subgrid (distinct row selections) together with
     the 6 points of the first external line."""
-    fs = make_field([("u", order_constraint(6))], min_bound, seed)
+    fs = make_field([("u", order_constraint(6))], min_bound)
     rows = [["1", f"u^{j}", f"u^{i}", f"u^{i + j}"]
             for i in _Z56_ROWS[which] for j in range(6)]
     rows += [["1", "0", "0", f"-u^{k}"] for k in range(6)]
@@ -595,37 +594,37 @@ def z56(which, min_bound=DEFAULT_MIN_BOUND, seed=0):
 
 def _named_builders():
     return {
-        "d4": lambda mb, s: _int_config("d4", 3, _D4, mb, s),
-        "f4": lambda mb, s: _int_config("f4", 3, _D4 + _D4_PRIME, mb, s),
-        "b3config": lambda mb, s: _int_config("b3config", 2, _B3, mb, s),
-        "rays13": lambda mb, s: _int_config("rays13", 2, _RAYS13, mb, s),
-        "rays21": lambda mb, s: _int_config(
-            "rays21", 2, _RAYS21, mb, s,
+        "d4": lambda mb: _int_config("d4", 3, _D4, mb),
+        "f4": lambda mb: _int_config("f4", 3, _D4 + _D4_PRIME, mb),
+        "b3config": lambda mb: _int_config("b3config", 2, _B3, mb),
+        "rays13": lambda mb: _int_config("rays13", 2, _RAYS13, mb),
+        "rays21": lambda mb: _int_config(
+            "rays21", 2, _RAYS21, mb,
             symbols=[("q", order_constraint(3))]),
-        "peres33": lambda mb, s: _int_config(
-            "peres33", 2, _pat(_PERES33), mb, s, symbols=[_SQRT2]),
-        "penrose": lambda mb, s: penrose(mb, s),
-        "half_penrose": lambda mb, s: half_penrose(mb, s),
-        "klein": lambda mb, s: klein(mb, s),
-        "h4": lambda mb, s: h4(mb, s),
-        "e7": lambda mb, s: _int_config("e7", 6, _e7_rows(), mb, s),
-        "e8": lambda mb, s: _int_config("e8", 7, _e8_rows(), mb, s),
-        "rays300": lambda mb, s: rays300(mb, s),
-        "points120": lambda mb, s: points120(mb, s),
-        "z1": lambda mb, s: z56(1, mb, s),
-        "z2": lambda mb, s: z56(2, mb, s),
-        "z3": lambda mb, s: z56(3, mb, s),
+        "peres33": lambda mb: _int_config(
+            "peres33", 2, _pat(_PERES33), mb, symbols=[_SQRT2]),
+        "penrose": penrose,
+        "half_penrose": half_penrose,
+        "klein": klein,
+        "h4": h4,
+        "e7": lambda mb: _int_config("e7", 6, _e7_rows(), mb),
+        "e8": lambda mb: _int_config("e8", 7, _e8_rows(), mb),
+        "rays300": rays300,
+        "points120": points120,
+        "z1": lambda mb: z56(1, mb),
+        "z2": lambda mb: z56(2, mb),
+        "z3": lambda mb: z56(3, mb),
     }
 
 
-def named(label, min_bound=DEFAULT_MIN_BOUND, seed=0) -> Configuration:
+def named(label, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
     builders = _named_builders()
     if label in builders:
-        return builders[label](min_bound, seed)
+        return builders[label](min_bound)
     m = re.fullmatch(r"b(\d+)", label)
     if m:
         k = int(m.group(1))
-        return _int_config(label, k - 1, _b_family_rows(k), min_bound, seed)
+        return _int_config(label, k - 1, _b_family_rows(k), min_bound)
     raise UnknownLabel(label)
 
 
@@ -659,13 +658,19 @@ def save(cfg: Configuration, path):
         fh.write("\n")
 
 
-def load(path, min_bound=DEFAULT_MIN_BOUND, seed=0) -> Configuration:
+def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: "
                              f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: the top level must be a JSON object")
+    if type(doc.get("ambient_dim")) is not int:
+        raise ParseError(f"{path}: 'ambient_dim' must be an integer")
+    if not isinstance(doc.get("points"), list) or not doc["points"]:
+        raise ParseError(f"{path}: 'points' must be a non-empty list")
     named_constraints = []
     for sym in doc.get("symbols", []):
         if "order" in sym:
@@ -674,6 +679,6 @@ def load(path, min_bound=DEFAULT_MIN_BOUND, seed=0) -> Configuration:
         else:
             named_constraints.append(
                 (sym["name"], minpoly_constraint(sym["minpoly"])))
-    fs = make_field(named_constraints, min_bound, seed)
-    n = int(doc["ambient_dim"])
-    return _from_exprs(doc.get("label", "config"), n, fs, doc["points"])
+    fs = make_field(named_constraints, min_bound)
+    return _from_exprs(doc.get("label", "config"), doc["ambient_dim"], fs,
+                       doc["points"])

@@ -119,12 +119,11 @@ def _constraint_ok(p: int, constraint) -> bool:
     return legendre(disc, p) >= 0
 
 
-def choose_prime(constraints, min_bound: int = DEFAULT_MIN_BOUND, seed: int = 0) -> int:
+def choose_prime(constraints, min_bound: int = DEFAULT_MIN_BOUND) -> int:
     """Smallest prime min_bound <= p < 2**31 satisfying every constraint.
 
     Order-n constraints need p = 1 (mod n); quadratic minpoly constraints
-    need the discriminant to be a square mod p. Deterministic; seed is
-    accepted for interface uniformity but unused.
+    need the discriminant to be a square mod p. Deterministic.
     """
     if min_bound < 100:
         raise ValueError("min_bound must be at least 100")
@@ -157,7 +156,7 @@ def multiplicative_order_is(x: int, n: int, p: int) -> bool:
     return all(pow(x, n // q, p) != 1 for q in _factorize(n))
 
 
-def resolve_symbol(p: int, constraint, seed: int = 0) -> int:
+def resolve_symbol(p: int, constraint) -> int:
     """A residue mod p satisfying the constraint. Deterministic given p."""
     kind, data = constraint
     if kind == "order":
@@ -211,10 +210,10 @@ class FieldSpec:
         return r
 
 
-def make_field(named_constraints, min_bound: int = DEFAULT_MIN_BOUND,
-               seed: int = 0) -> FieldSpec:
+def make_field(named_constraints,
+               min_bound: int = DEFAULT_MIN_BOUND) -> FieldSpec:
     """Build a FieldSpec from [(name, constraint), ...]."""
     named = list(named_constraints)
-    p = choose_prime([c for _, c in named], min_bound=min_bound, seed=seed)
-    resolved = {name: resolve_symbol(p, c, seed=seed) for name, c in named}
+    p = choose_prime([c for _, c in named], min_bound=min_bound)
+    resolved = {name: resolve_symbol(p, c) for name, c in named}
     return FieldSpec(p=p, symbols=resolved, constraints=dict(named))

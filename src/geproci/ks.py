@@ -76,20 +76,21 @@ def _edge_set(rows, conj_rows, p):
             if G[i, j] == 0 and G[j, i] == 0}
 
 
-def _second_field(cfg, seed=0):
+def _second_field(cfg):
     constraints = list(cfg.field.constraints.items())
-    return make_field(constraints, min_bound=cfg.field.p + 1, seed=seed)
+    return make_field(constraints, min_bound=cfg.field.p + 1)
 
 
 def ortho_graph(X: Configuration, seed=0) -> OrthoGraph:
     """Orthogonality graph of the configuration, edges confirmed under
-    two primes when the points carry coordinate expressions."""
+    two primes when the points carry coordinate expressions. The second
+    prime is the next suitable one, so seed does not change the result."""
     n = len(X.points)
     rows = _coord_rows(X, X.field)
     edges = _edge_set(rows, _coord_rows(X, X.field, conj=True), X.field.p)
     primes = [X.field.p]
     if X.exprs is not None:
-        fs2 = _second_field(X, seed=seed)
+        fs2 = _second_field(X)
         rows2 = _coord_rows(X, fs2)
         edges &= _edge_set(rows2, _coord_rows(X, fs2, conj=True), fs2.p)
         primes.append(fs2.p)
@@ -126,7 +127,8 @@ def is_ks_set(X, seed=0) -> bool:
     maximal cliques of the orthogonality graph that do not extend to a
     basis (orthogonal pairs or partial frames); the exclusivity rule
     plus the per-clique sum pins each to exactly one vector marked 1.
-    True means the configuration is a Kochen-Specker set.
+    True means the configuration is a Kochen-Specker set. The search is
+    exact; seed does not change the result.
     """
     g = X if isinstance(X, OrthoGraph) else ortho_graph(X, seed=seed)
     if not g.bases:

@@ -88,13 +88,14 @@ def kernel_basis(M, p):
     """Basis of the right null space, as a list of int64 vectors."""
     A, pivots = rref(M, p)
     cols = A.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivot_set:
+            continue
         v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-A[r, f]) % p
+        v[pivots] = (-A[:len(pivots), f]) % p
         basis.append(v)
     return basis
 

@@ -218,3 +218,16 @@ def project_from(vertex: ProjPoint, points, seed: int = 0):
     if len(set(images)) != len(images):
         raise CollisionDetected("projection identified two points")
     return images
+
+
+def project_general(points, rng):
+    """Images of the points under projection from a random vertex,
+    resampling the vertex (up to 25 times) on collisions."""
+    p = points[0].p
+    for _ in range(25):
+        P = random_point(points[0].ambient_dim + 1, p, rng)
+        try:
+            return project_from(P, points, seed=rng.randrange(1 << 30))
+        except (VertexInZ, CollisionDetected):
+            continue
+    raise CollisionDetected("no collision-free projection vertex found")

@@ -17,8 +17,7 @@ import numpy as np
 from . import linalg
 from .configs import Configuration, FlatUnion
 from .ideals import interp_matrix, num_monomials
-from .projgeom import (ProjPoint, project_from, random_point,
-                       CollisionDetected, VertexInZ)
+from .projgeom import ProjPoint, project_general, random_point
 
 
 @dataclass
@@ -30,18 +29,12 @@ class UnexpReport:
     unexpected: bool
 
 
-def _ambient(Z):
+def _space(Z):
+    """(ambient dimension, prime) of a configuration, flat union or
+    point list."""
     if isinstance(Z, (Configuration, FlatUnion)):
-        return Z.ambient_dim
-    return Z[0].ambient_dim
-
-
-def _prime(Z):
-    if isinstance(Z, Configuration):
-        return Z.field.p
-    if isinstance(Z, FlatUnion):
-        return Z.field.p
-    return Z[0].p
+        return Z.ambient_dim, Z.field.p
+    return Z[0].ambient_dim, Z[0].p
 
 
 def _flat_point(flat, p, rng):
@@ -84,25 +77,13 @@ def adim(Z, t, m, trials=2, seed=0) -> int:
     For t = m the cone condition is equivalent to vanishing of the
     projected configuration, which needs a much smaller matrix.
     """
-    p = _prime(Z)
-    n = _ambient(Z)
+    n, p = _space(Z)
     rng = random.Random(repr((seed, "adim", t, m)))
     best = None
     for _ in range(trials):
         pts = _condition_points(Z, t, rng)
         if t == m:
-            uniq = list(dict.fromkeys(pts))
-            images = None
-            for _ in range(30):
-                P = random_point(n + 1, p, rng)
-                try:
-                    images = project_from(P, uniq,
-                                          seed=rng.randrange(1 << 30))
-                    break
-                except (VertexInZ, CollisionDetected):
-                    continue
-            if images is None:
-                raise CollisionDetected("no collision-free vertex found")
+            images = project_general(list(dict.fromkeys(pts)), rng)
             M = interp_matrix([(q, 1) for q in images], t, p)
             val = num_monomials(n, t) - linalg.rank(M, p)
         else:
@@ -119,8 +100,7 @@ def vdim(Z, t, m, trials=2, seed=0) -> int:
 
     May be negative; the fat point term is binom(m+n-1, n).
     """
-    p = _prime(Z)
-    n = _ambient(Z)
+    n, p = _space(Z)
     total = num_monomials(n + 1, t)
     rng = random.Random(repr((seed, "vdim", t, m)))
     dims = []

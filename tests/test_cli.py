@@ -209,6 +209,22 @@ def test_remember_full_subset(d4_file, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("subset, bad", [
+    ([-1, 0], "(-1)"),
+    ([0, 1, 99], "(99)"),
+    ([], "non-empty"),
+    ([0, 0], "repeats point index 0"),
+], ids=["negative", "out-of-range", "empty", "repeated"])
+def test_remember_rejects_bad_subset(d4_file, tmp_path, capsys, subset, bad):
+    idx = tmp_path / "idx.json"
+    idx.write_text(json.dumps(subset))
+    code = main(["remember", "-m", "3", "--subset", str(idx), d4_file])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert bad in err
+
+
 def test_equiv_verdicts(tmp_path, d4_file, capsys):
     g1 = tmp_path / "g1.json"
     g2 = tmp_path / "g2.json"
@@ -216,6 +232,44 @@ def test_equiv_verdicts(tmp_path, d4_file, capsys):
     save(unity_grid(3, 4), str(g2))
     assert run(capsys, "equiv", str(g1), str(g2))[0] == 0
     assert run(capsys, "equiv", str(g1), d4_file)[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# report shape of every verdict command
+
+@pytest.mark.parametrize("argv, seed, trials", [
+    (["construct", "d4", "-o", "{tmp}/out.json"], 0, 0),
+    (["census", "lines", "{d4}"], 0, 0),
+    (["census", "planes", "{d4}"], 0, 0),
+    (["check", "geproci", "-a", "3", "-b", "4", "--seed", "5", "{d4}"], 5, 3),
+    (["check", "ci222", "--seed", "5", "-t", "4", "{d4}"], 5, 4),
+    (["weddle", "degree", "-d", "2", "--seed", "5", "{g23}"], 5, 1),
+    (["weddle", "member", "-d", "2", "--seed", "5", "--probe", "{d4}",
+      "{d4}"], 5, 1),
+    (["unexpected", "c", "-t", "3", "--seed", "5", "{d4}"], 5, 2),
+    (["unexpected", "vdim", "-t", "3", "-m", "3", "--seed", "5", "{d4}"],
+     5, 2),
+    (["ks", "--seed", "5", "{d4}"], 5, 1),
+    (["cbp", "--seed", "5", "{d4}"], 5, 2),
+    (["cbp", "--ambient", "--seed", "5", "{d4}"], 5, 1),
+    (["remember", "-m", "3", "--seed", "5", "--subset", "{full}", "{d4}"],
+     5, 2),
+    (["equiv", "{d4}", "{d4}"], 0, 1),
+], ids=["construct", "census-lines", "census-planes", "check-geproci",
+        "check-ci222", "weddle-degree", "weddle-member", "unexpected-c",
+        "unexpected-vdim", "ks", "cbp", "cbp-ambient", "remember", "equiv"])
+def test_report_keys_seed_and_trials(d4_file, tmp_path, capsys,
+                                     argv, seed, trials):
+    g23 = tmp_path / "g23.json"
+    save(unity_grid(2, 3), str(g23))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(list(range(12))))
+    names = {"tmp": tmp_path, "d4": d4_file, "g23": g23, "full": full}
+    code, out = run(capsys, "--json", *[a.format(**names) for a in argv])
+    doc = json.loads(out)
+    assert set(doc) == {"verdict", "prime", "seed", "trials", "data"}
+    assert (doc["seed"], doc["trials"]) == (seed, trials)
+    assert code == {"Yes": 0, "No": 1, "Inconclusive": 2}[doc["verdict"]]
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +286,31 @@ def test_prime_above_int64_safe_range_is_usage_error(d4_file, capsys):
     assert code == 3
     assert out == ""
     assert "2**31" in err
+
+
+def test_bad_config_shape_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "points": []}))
+    code = main(["check", "geproci", "-a", "3", "-b", "4", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "'points'" in err
+
+
+def test_unexpected_error_exits_3(d4_file, capsys, monkeypatch):
+    from geproci import certify
+    from geproci.projgeom import CollisionDetected
+
+    def collide(*args, **kwargs):
+        raise CollisionDetected("no collision-free projection vertex found")
+
+    monkeypatch.setattr(certify, "geprocb", collide)
+    code = main(["cbp", d4_file])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: CollisionDetected")
 
 
 def test_unknown_command(capsys):

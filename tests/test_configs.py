@@ -196,3 +196,17 @@ def test_saved_schema_fields(tmp_path):
     assert set(doc) >= {"label", "ambient_dim", "symbols", "points"}
     assert doc["ambient_dim"] == 3
     assert len(doc["points"]) == 12
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([["1", "0", "0"]], "top level"),
+    ({"points": [["1", "0", "0"]]}, "'ambient_dim'"),
+    ({"ambient_dim": 2, "points": []}, "'points'"),
+], ids=["top-level-list", "missing-ambient-dim", "empty-points"])
+def test_load_rejects_bad_top_level_shape(tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    assert str(path) in str(info.value)
+    assert field in str(info.value)
