@@ -84,9 +84,8 @@ def _cmd_weddle(args):
             print("weddle member needs --probe FILE", file=sys.stderr)
             return 3
         probe = configs.load(args.probe)
-        flags = [bool(weddle.weddle_member(cfg.points, args.d, Q,
-                                           seed=args.seed))
-                 for Q in probe.points]
+        flags = weddle.members(cfg.points, args.d, probe.points,
+                               seed=args.seed)
         data = {"members": flags}
         verdict = YES if all(flags) else NO
     return _emit(Decision(verdict, cfg.field.p, args.seed, 1, data), args)

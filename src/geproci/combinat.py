@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .projgeom import ProjPoint, flat_through, span_dim
+from .projgeom import ProjPoint, subset_flats
 
 
 class NotA33Grid(ValueError):
@@ -38,9 +38,8 @@ def _points(Z):
 
 def _line_members(points):
     lines = {}
-    for q1, q2 in itertools.combinations(points, 2):
-        f = flat_through([q1, q2])
-        lines.setdefault(f, set()).update((q1, q2))
+    for (i, j), f in subset_flats(points, 2):
+        lines.setdefault(f, set()).update((points[i], points[j]))
     for f, v in lines.items():  # in place, so no second copy is alive
         lines[f] = frozenset(v)
     return lines
@@ -61,16 +60,15 @@ def plane_census(Z) -> IncidenceCensus:
     count, for configurations in 3-space."""
     points = _points(Z)
     planes = {}
-    for t in itertools.combinations(points, 3):
-        if span_dim(list(t)) != 2:
-            continue
-        f = flat_through(list(t))
-        planes.setdefault(f, set()).update(t)
-    members = {f: frozenset(v) for f, v in planes.items()}
+    for t, f in subset_flats(points, 3):
+        if f.dim == 2:
+            planes.setdefault(f, set()).update(points[i] for i in t)
+    for f, v in planes.items():
+        planes[f] = frozenset(v)
     hist = {}
-    for v in members.values():
+    for v in planes.values():
         hist[len(v)] = hist.get(len(v), 0) + 1
-    return IncidenceCensus(2, hist, members)
+    return IncidenceCensus(2, hist, planes)
 
 
 def _line_intersection(f1, f2):
@@ -116,10 +114,12 @@ def brianchon_points(Z):
                  key=lambda q: q.coords)
     if len(six) != 6:
         raise NotA33Grid(f"found {len(six)} concurrency points, expected 6")
-    for tri in itertools.combinations(six, 3):
-        rest = [q for q in six if q not in tri]
-        if span_dim(list(tri)) == 1 and span_dim(rest) == 1:
-            return (tuple(tri), tuple(rest))
+    coll = _collinear_triples(six)
+    for tri in itertools.combinations(range(6), 3):
+        rest = frozenset(range(6)).difference(tri)
+        if frozenset(tri) in coll and rest in coll:
+            return (tuple(six[i] for i in tri),
+                    tuple(six[i] for i in sorted(rest)))
     raise NotA33Grid("concurrency points admit no collinear partition")
 
 
@@ -205,11 +205,8 @@ def disjoint_k13_probe(points, members):
 
 
 def _collinear_triples(points):
-    out = set()
-    for t in itertools.combinations(range(len(points)), 3):
-        if span_dim([points[i] for i in t]) == 1:
-            out.add(frozenset(t))
-    return out
+    """Index triples of the points that span a line."""
+    return {frozenset(t) for t, f in subset_flats(points, 3) if f.dim == 1}
 
 
 def _search_bijection(pts1, pts2, prof1, prof2):

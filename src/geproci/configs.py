@@ -671,8 +671,16 @@ def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
         raise ParseError(f"{path}: 'ambient_dim' must be an integer")
     if not isinstance(doc.get("points"), list) or not doc["points"]:
         raise ParseError(f"{path}: 'points' must be a non-empty list")
+    symbols = doc.get("symbols", [])
+    if not isinstance(symbols, list):
+        raise ParseError(f"{path}: 'symbols' must be a list")
     named_constraints = []
-    for sym in doc.get("symbols", []):
+    for i, sym in enumerate(symbols):
+        if (not isinstance(sym, dict) or not isinstance(sym.get("name"), str)
+                or ("order" in sym) == ("minpoly" in sym)):
+            raise ParseError(f"{path}: symbols[{i}] must be an object with "
+                             f"a string 'name' and exactly one of 'order' "
+                             f"and 'minpoly'")
         if "order" in sym:
             named_constraints.append(
                 (sym["name"], order_constraint(sym["order"])))

@@ -188,6 +188,12 @@ class FieldSpec:
     symbols: dict = field(default_factory=dict)       # name -> residue
     constraints: dict = field(default_factory=dict)   # name -> constraint
 
+    def __post_init__(self):
+        if not 2 <= self.p < PRIME_LIMIT:
+            raise ValueError(f"prime {self.p} is outside [2, 2**31): primes "
+                             f"must stay below 2**31 for exact int64 "
+                             f"arithmetic")
+
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:

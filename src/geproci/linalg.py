@@ -67,6 +67,56 @@ def rref(M, p):
     return A, pivots
 
 
+def _inv_stack(x, p):
+    """Elementwise x**(p-2) mod p (Fermat inverse of nonzero entries) by
+    square-and-multiply over the bits of p - 2."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def rref_stack(A, p):
+    """Reduced row echelon forms of an (N, k, m) stack of small matrices;
+    returns (R, ranks). Row i of item n is nonzero exactly for i < ranks[n].
+
+    The loop runs over the m columns, each step acting on all N items at
+    once. Rows are eliminated without division (row_j <- piv*row_j -
+    f*row_r, entries below p**2 < 2**62) and each pivot row is scaled by
+    one vectorised inverse at the end. Pivoting takes the first nonzero
+    entry, as in _eliminate, and a reduced echelon form is unique, so each
+    item equals rref of that item alone.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    N, k, m = A.shape
+    ranks = np.zeros(N, dtype=np.int64)
+    if N == 0 or k == 0:
+        return A, ranks
+    items = np.arange(N)
+    rows = np.arange(k)
+    for c in range(m):
+        cand = (A[:, :, c] != 0) & (rows >= ranks[:, None])
+        has = cand.any(axis=1)
+        r = np.minimum(ranks, k - 1)
+        i = np.where(has, cand.argmax(axis=1), r)
+        top = A[items, i]
+        A[items, i] = A[items, r]
+        A[items, r] = top
+        f = np.where(has[:, None], A[:, :, c], 0)
+        f[items, r] = 0
+        piv = np.where(has, top[:, c], 1)
+        A = (A * piv[:, None, None] - f[:, :, None] * top[:, None, :]) % p
+        ranks += has
+    # leading entry of each row (0 for a zero row, whose inverse is unused)
+    lead = np.take_along_axis(A, (A != 0).argmax(axis=2)[..., None], axis=2)
+    return A * _inv_stack(lead, p) % p, ranks
+
+
 def rank(M, p) -> int:
     A = as_matrix(M, p).copy()
     pivots, _, _ = _eliminate(A, p, reduced=False)

@@ -6,12 +6,16 @@ the reduced row echelon form of a spanning matrix, which is likewise
 canonical and lets censuses deduplicate lines and planes by hashing.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+
+
+SUBSET_CHUNK = 512   # subsets per batched elimination in subset_flats
 
 
 class EmptyInput(ValueError):
@@ -116,6 +120,23 @@ def flat_through(points) -> Flat:
     R, pivots = linalg.rref(linalg.as_matrix([q.coords for q in points], p), p)
     rows = tuple(tuple(int(x) for x in R[i]) for i in range(len(pivots)))
     return Flat(rows, p)
+
+
+def subset_flats(points, k):
+    """Yield (index_tuple, Flat) for every k-subset of the points, in
+    itertools.combinations order; each Flat equals flat_through of that
+    subset. The subsets are reduced SUBSET_CHUNK at a time by one
+    linalg.rref_stack, which bounds the scratch memory."""
+    if len(points) < k:
+        return
+    _check_common(points)
+    p = points[0].p
+    coords = np.array([q.coords for q in points], dtype=np.int64)
+    combos = itertools.combinations(range(len(points)), k)
+    while chunk := list(itertools.islice(combos, SUBSET_CHUNK)):
+        R, ranks = linalg.rref_stack(coords[np.array(chunk)], p)
+        for idx, rows, rk in zip(chunk, R.tolist(), ranks.tolist()):
+            yield idx, Flat(tuple(map(tuple, rows[:rk])), p)
 
 
 def line_through(a: ProjPoint, b: ProjPoint) -> Flat:

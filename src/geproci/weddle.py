@@ -51,15 +51,19 @@ def generic_rank(points, d, seed=0, trials=3):
     return best
 
 
-def weddle_member(points, d, Q: ProjPoint, seed=0) -> bool:
-    """Whether Q lies on the degree-d Weddle locus of the points.
-
-    True exactly when the system at Q has lower rank than at a generic
-    vertex.
-    """
+def members(points, d, probes, seed=0):
+    """For each probe vertex Q, whether it lies on the degree-d Weddle
+    locus of the points: True exactly when the system at Q has lower
+    rank than at a generic vertex. The generic rank is computed once."""
     p = points[0].p
     rho = generic_rank(points, d, seed=seed)
-    return linalg.rank(weddle_matrix(points, d, Q), p) < rho
+    return [linalg.rank(weddle_matrix(points, d, Q), p) < rho
+            for Q in probes]
+
+
+def weddle_member(points, d, Q: ProjPoint, seed=0) -> bool:
+    """Whether Q lies on the degree-d Weddle locus of the points."""
+    return members(points, d, [Q], seed=seed)[0]
 
 
 def _det_at(points, d, coords, p):

@@ -145,6 +145,32 @@ def test_weddle_member_with_probe(tmp_path, capsys):
     assert code == 0
 
 
+def test_weddle_member_computes_generic_rank_once(tmp_path, capsys,
+                                                  monkeypatch):
+    from geproci import weddle
+    from geproci.configs import load
+    path = save_random(tmp_path, 5, 3, seed=8)
+    probe_path = save_random(tmp_path, 3, 3, seed=9, name="probe.json")
+    base, probe = load(path), load(probe_path)
+    expect = [weddle.weddle_member(base.points, 2, Q, seed=4)
+              for Q in probe.points]
+    calls = []
+    original = weddle.generic_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weddle, "generic_rank", counting)
+    code, out = run(capsys, "--json", "weddle", "member", "-d", "2",
+                    "--seed", "4", "--probe", probe_path, path)
+    assert len(calls) == 1
+    doc = json.loads(out)
+    assert doc["data"]["members"] == expect
+    assert doc["trials"] == 1
+    assert code == (0 if all(expect) else 1)
+
+
 # ---------------------------------------------------------------------------
 # unexpected
 
@@ -296,6 +322,17 @@ def test_bad_config_shape_is_usage_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "'points'" in err
+
+
+def test_bad_symbol_entry_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nameless.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "points": [["1", "0", "0"]],
+                                "symbols": [{"order": 4}]}))
+    code = main(["census", "lines", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert str(path) in err and "symbols[0]" in err
 
 
 def test_unexpected_error_exits_3(d4_file, capsys, monkeypatch):

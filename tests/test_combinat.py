@@ -15,7 +15,7 @@ from geproci.combinat import (
 from geproci.configs import grid, named, unity_grid, z56
 from geproci.projgeom import span_dim
 
-from oracles import collinear
+from oracles import collinear, det_cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,41 @@ def test_root_system_24_lines_match_oracle():
     # every pair of points lies on exactly one line
     assert sum(n * k * (k - 1) // 2 for k, n in hist.items()) == 276
     assert line_census(named("f4")).histogram == hist
+
+
+def _oracle_planes(points):
+    """Planes of a point set in 3-space from 4x4 cofactor determinants
+    alone. Expanding det(a, b, c, q) along q gives sum q_i * n_i with
+    n_i = det(a, b, c, e_i): the triple spans a plane unless n = 0, and
+    the plane holds the q with det(a, b, c, q) = 0."""
+    p = points[0].p
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    planes, seen = set(), set()
+    for t in itertools.combinations(range(len(points)), 3):
+        if t in seen:
+            continue
+        rows = [list(points[i].coords) for i in t]
+        n = [det_cofactor(rows + [e], p) for e in units]
+        if not any(n):
+            continue
+        plane = frozenset(k for k, q in enumerate(points)
+                          if sum(x * y for x, y in zip(q.coords, n)) % p == 0)
+        planes.add(plane)
+        seen.update(itertools.combinations(sorted(plane), 3))
+    return planes
+
+
+@pytest.mark.parametrize("cfg", [named("d4"), z56(1)], ids=["d4", "z1"])
+def test_plane_census_matches_oracle(cfg):
+    points = cfg.points
+    planes = _oracle_planes(points)
+    hist = {}
+    for members in planes:
+        hist[len(members)] = hist.get(len(members), 0) + 1
+    census = plane_census(cfg)
+    assert census.histogram == hist
+    assert set(census.members.values()) == {
+        frozenset(points[k] for k in plane) for plane in planes}
 
 
 def test_penrose_lines():

@@ -198,11 +198,26 @@ def test_saved_schema_fields(tmp_path):
     assert len(doc["points"]) == 12
 
 
+def _with_symbol(sym):
+    return {"ambient_dim": 2, "points": [["1", "0", "0"]],
+            "symbols": [{"name": "i", "order": 4}, sym]}
+
+
 @pytest.mark.parametrize("doc, field", [
     ([["1", "0", "0"]], "top level"),
     ({"points": [["1", "0", "0"]]}, "'ambient_dim'"),
     ({"ambient_dim": 2, "points": []}, "'points'"),
-], ids=["top-level-list", "missing-ambient-dim", "empty-points"])
+    ({"ambient_dim": 2, "points": [["1", "0", "0"]], "symbols": {}},
+     "'symbols'"),
+    (_with_symbol({"order": 4}), "symbols[1]"),
+    (_with_symbol({"name": 5, "order": 4}), "symbols[1]"),
+    (_with_symbol({"name": "w"}), "symbols[1]"),
+    (_with_symbol({"name": "w", "order": 4, "minpoly": [-2, 0, 1]}),
+     "symbols[1]"),
+    (_with_symbol("w"), "symbols[1]"),
+], ids=["top-level-list", "missing-ambient-dim", "empty-points",
+        "symbols-not-a-list", "symbol-missing-name", "symbol-non-string-name",
+        "symbol-neither-key", "symbol-both-keys", "symbol-non-object"])
 def test_load_rejects_bad_top_level_shape(tmp_path, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

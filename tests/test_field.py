@@ -139,3 +139,14 @@ def test_order_symbols_have_exact_order(n):
     p = choose_prime([order_constraint(n)])
     u = resolve_symbol(p, order_constraint(n))
     assert multiplicative_order(u, p) == n
+
+
+@pytest.mark.parametrize("p", [2**31, 5000000000, 1, 0, -7])
+def test_field_spec_rejects_prime_outside_int64_safe_range(p):
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        FieldSpec(p=p)
+
+
+def test_field_spec_accepts_primes_below_2_to_31():
+    assert FieldSpec(p=2**31 - 1).p == 2**31 - 1
+    assert FieldSpec(p=2).p == 2

@@ -14,6 +14,7 @@ from geproci.linalg import (
     mat_vec,
     rank,
     rref,
+    rref_stack,
 )
 
 from oracles import det_cofactor, rank_minors
@@ -123,3 +124,32 @@ def test_rank_bounded_by_shape(seed):
     r = rank(M, P)
     assert 0 <= r <= min(m, n)
     assert rank(M.T.copy(), P) == r
+
+
+@st.composite
+def _stacks(draw):
+    """(p, A): an (N, k, m) stack, k <= 4 and m <= 5, whose rows are fresh,
+    repeated from a small pool, or zero, so items are often rank-deficient."""
+    p = draw(st.sampled_from([7, P]))
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 4))
+    m = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3) | st.integers(0, p - 1)
+    fresh = st.lists(entry, min_size=m, max_size=m)
+    pool = draw(st.lists(fresh, min_size=1, max_size=2)) + [[0] * m]
+    row = fresh | st.sampled_from(pool)
+    items = draw(st.lists(st.lists(row, min_size=k, max_size=k),
+                          min_size=n, max_size=n))
+    return p, np.array(items, dtype=np.int64).reshape(n, k, m)
+
+
+@given(_stacks())
+@settings(max_examples=100, deadline=None)
+def test_rref_stack_agrees_with_rref_and_rank(case):
+    p, A = case
+    R, ranks = rref_stack(A, p)
+    assert R.shape == A.shape and ranks.shape == (A.shape[0],)
+    for item, got, rk in zip(A, R, ranks):
+        want, pivots = rref(item, p)
+        assert np.array_equal(got, want)
+        assert rk == len(pivots) == rank(item, p)
