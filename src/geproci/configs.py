@@ -671,6 +671,12 @@ def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
         raise ParseError(f"{path}: 'ambient_dim' must be an integer")
     if not isinstance(doc.get("points"), list) or not doc["points"]:
         raise ParseError(f"{path}: 'points' must be a non-empty list")
+    width = doc["ambient_dim"] + 1
+    for i, row in enumerate(doc["points"]):
+        if not isinstance(row, list) or len(row) != width:
+            raise ParseError(f"{path}: points[{i}] must be a list of {width} "
+                             f"coordinates, one per variable of "
+                             f"P^{doc['ambient_dim']}")
     symbols = doc.get("symbols", [])
     if not isinstance(symbols, list):
         raise ParseError(f"{path}: 'symbols' must be a list")

@@ -59,9 +59,10 @@ def _power_rows(coords, exps, p):
     pw = np.ones(C.shape + (int(E.max()) + 1,), dtype=np.int64)
     for e in range(1, pw.shape[2]):
         pw[:, :, e] = pw[:, :, e - 1] * C % p
-    rows = np.ones((C.shape[0], E.shape[0]), dtype=np.int64)
-    for j in range(E.shape[1]):
-        rows = rows * pw[:, j, E[:, j]] % p
+    rows = pw[:, 0, E[:, 0]]
+    for j in range(1, E.shape[1]):
+        rows *= pw[:, j, E[:, j]]
+        rows %= p
     return rows
 
 
@@ -95,8 +96,11 @@ def interp_matrix(scheme, t: int, p: int):
     if p <= t:
         raise CharTooSmall(f"need p > {t}")
     cols = monomials(nvars, t)
-    simple = iter(_power_rows([pt.coords for pt, mult in scheme if mult == 1],
-                              cols, p))
+    simple = _power_rows([pt.coords for pt, mult in scheme if mult == 1],
+                         cols, p)
+    if len(simple) == len(scheme):
+        return simple
+    simple = iter(simple)
     rows = []
     for pt, mult in scheme:
         coords = pt.coords

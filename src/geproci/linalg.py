@@ -1,7 +1,12 @@
 """Dense exact linear algebra mod p on numpy int64 arrays.
 
-All entries live in [0, p) with p < 2**31, so any product of two entries
-fits in int64 and a single % p after each multiply keeps everything exact.
+All entries live in [0, p) with p < 2**31. The per-column elimination
+loop stays in int64: a product of two entries is below 2**62, and a
+single % p after each multiply keeps everything exact. The trailing
+update of the blocked LU behind rank and det multiplies through float64
+BLAS instead: balanced residues (|x| < 2**30) times signed 16-bit limbs
+give terms below 2**45, so a sum of up to 2**8 of them (the panel width
+PANEL = 64 bounds it) stays below 2**53, where float64 is exact.
 Pivoting always takes the first nonzero entry in a column, which makes
 every result deterministic.
 """
@@ -9,6 +14,8 @@ every result deterministic.
 import numpy as np
 
 MAX_INNER_DIM = 2 ** 16   # largest inner dimension mat_mul keeps exact
+PANEL = 64                # columns per panel of the blocked LU in _eliminate
+STRIP = 128               # rows per exact product of its trailing update
 
 
 class NotSquare(ValueError):
@@ -28,41 +35,122 @@ def _eliminate(A, p, reduced):
     det_unit is the product of the pivot values encountered (before row
     normalization); together with the swap sign it gives the determinant
     of a square matrix of full rank.
+
+    The reduced form is one pass of the per-column loop over all columns.
+    The unreduced form (rank, det) is a blocked LU: the loop runs on a
+    panel of PANEL columns and leaves each multiplier where it would have
+    written a zero, and _update_trailing then applies the panel's row
+    operations to the columns right of it. With cols <= PANEL this is the
+    loop alone. Pivot choices, and so every result, equal the unblocked
+    loop's; A itself then holds multipliers below its pivots.
     """
     rows, cols = A.shape
     r = 0
     pivots = []
+    invs = []
     det_unit = 1
     sign = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-            sign = -sign
-        piv = int(A[r, c])
-        det_unit = det_unit * piv % p
-        A[r, c:] = A[r, c:] * pow(piv, p - 2, p) % p
-        if reduced:
-            sel = np.nonzero(A[:, c])[0]
-            sel = sel[sel != r]
-        else:
-            below = np.nonzero(A[r + 1:, c])[0]
-            sel = below + r + 1
-        if sel.size:
-            A[sel, c:] = (A[sel, c:] - A[sel, c:c + 1] * A[r, c:]) % p
-        pivots.append(c)
-        r += 1
+    c0 = 0
+    while c0 < cols and r < rows:
+        c1 = cols if reduced else min(c0 + PANEL, cols)
+        r0 = r
+        for c in range(c0, c1):
+            if r == rows:
+                break
+            nz = np.nonzero(A[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                A[[r, i]] = A[[i, r]]
+                sign = -sign
+            piv = int(A[r, c])
+            det_unit = det_unit * piv % p
+            inv = pow(piv, p - 2, p)
+            A[r, c:c1] = A[r, c:c1] * inv % p
+            if reduced:
+                sel = np.nonzero(A[:, c])[0]
+                sel = sel[sel != r]
+                lo = c
+            else:
+                sel = nz[1:] + r
+                lo = c + 1
+            if sel.size:
+                A[sel, lo:c1] = (A[sel, lo:c1]
+                                 - A[sel, c:c + 1] * A[r, lo:c1]) % p
+            pivots.append(c)
+            invs.append(inv)
+            r += 1
+        if c1 < cols and r > r0:
+            _update_trailing(A, p, r0, r, pivots[r0:], invs[r0:], c1)
+        c0 = c1
     return pivots, det_unit, sign
+
+
+def _update_trailing(A, p, r0, r1, pcols, invs, c1):
+    """Apply a panel's row operations to the columns c1: of A, in place.
+
+    The panel left its pivot rows r0:r1 normalised only left of c1, and
+    the multiplier of row j for pivot i in A[j, pcols[i]]. A k-step
+    triangular solve finishes the pivot rows (U12); the rows below then
+    take A22 <- A22 - L21 U12 in strips of STRIP rows, each strip one
+    exact product (_sub_product), so no full-size temporary is made.
+    Rows whose multipliers are all zero are left alone, as the loop
+    leaves them; if every row is, the pivot rows are never read again.
+    """
+    sel = r1 + np.flatnonzero(A[r1:, pcols].any(axis=1))
+    if sel.size == 0:
+        return
+    U = A[r0:r1, c1:]
+    for j, inv in enumerate(invs):
+        U[j] *= inv
+        U[j] %= p
+        below = U[j + 1:]
+        below -= A[r0 + j + 1:r1, pcols[j], None] * U[j]
+        below %= p
+    hi, lo = _limbs(U, p)
+    for s in range(0, sel.size, STRIP):
+        rows = sel[s:s + STRIP]
+        T = A[rows, c1:]
+        _sub_product(T, A[rows[:, None], pcols], hi, lo, p)
+        A[rows, c1:] = T
+
+
+def _limbs(U, p):
+    """Balanced residues of U split as hi * 2**16 + lo, both float64, with
+    -2**15 <= lo < 2**15 and |hi| <= 2**14."""
+    B = np.where(U > p // 2, U - p, U)
+    lo = (B + (1 << 15) & 0xFFFF) - (1 << 15)
+    B -= lo
+    B >>= 16
+    return B.astype(np.float64), lo.astype(np.float64)
+
+
+def _sub_product(T, L, hi, lo, p):
+    """T <- (T - L @ (hi * 2**16 + lo)) mod p, exactly and in place.
+
+    L is taken as balanced residues, |l| <= (p - 1)/2 < 2**30, so each
+    term of either float64 product has |l * limb| <= 2**45 and a sum of
+    k <= 2**8 terms stays within 2**53: every partial sum is an integer
+    that float64 holds exactly, whatever order BLAS adds in. PANEL keeps
+    k <= 64. The sums are reduced as int64, where % is far cheaper than
+    on float64; T - (hi-sum mod p) * 2**16 - lo-sum stays below 2**54.
+    """
+    Lf = np.where(L > p // 2, L - p, L).astype(np.float64)
+    f = Lf @ hi
+    h = f.astype(np.int64)
+    h %= p
+    h <<= 16
+    T -= h
+    np.matmul(Lf, lo, out=f)          # both buffers reused for the lo limb
+    np.copyto(h, f, casting="unsafe")
+    T -= h
+    T %= p
 
 
 def rref(M, p):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    A = as_matrix(M, p).copy()
+    A = as_matrix(M, p)
     pivots, _, _ = _eliminate(A, p, reduced=True)
     return A, pivots
 
@@ -118,13 +206,13 @@ def rref_stack(A, p):
 
 
 def rank(M, p) -> int:
-    A = as_matrix(M, p).copy()
+    A = as_matrix(M, p)
     pivots, _, _ = _eliminate(A, p, reduced=False)
     return len(pivots)
 
 
 def det(M, p) -> int:
-    A = as_matrix(M, p).copy()
+    A = as_matrix(M, p)
     n, m = A.shape
     if n != m:
         raise NotSquare(f"determinant of a {n}x{m} matrix")
@@ -155,7 +243,7 @@ def inv_matrix(M, p):
     n, m = A.shape
     if n != m:
         raise NotSquare(f"inverse of a {n}x{m} matrix")
-    aug = np.concatenate([A.copy(), np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
     R, pivots = rref(aug, p)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -7,6 +7,8 @@ library must agree with these on small inputs.
 import itertools
 import math
 
+import numpy as np
+
 
 def det_cofactor(rows, p):
     n = len(rows)
@@ -32,6 +34,31 @@ def rank_minors(rows, p):
                 if det_cofactor(sub, p) % p:
                     return size
     return 0
+
+
+def rank_det_by_columns(rows, p):
+    """(rank, det) by plain Gaussian elimination, one column and one whole
+    row operation at a time; det is None unless the matrix is square."""
+    A = np.array(rows, dtype=np.int64) % p
+    m, n = A.shape
+    r, det = 0, 1
+    for c in range(n):
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+            det = -det
+        det = det * int(A[r, c]) % p
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        A[r + 1:] = (A[r + 1:] - np.outer(A[r + 1:, c], A[r])) % p
+        r += 1
+        if r == m:
+            break
+    if m != n:
+        return r, None
+    return r, det % p if r == n else 0
 
 
 def is_prime_trial(n):

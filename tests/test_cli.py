@@ -335,6 +335,18 @@ def test_bad_symbol_entry_is_usage_error(tmp_path, capsys):
     assert str(path) in err and "symbols[0]" in err
 
 
+def test_bad_point_row_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"ambient_dim": 3,
+                                "points": [["1", "0", "0", "0"],
+                                           ["0", "1", "0"]]}))
+    code = main(["census", "lines", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert str(path) in err and "points[1]" in err and "4 coordinates" in err
+
+
 def test_unexpected_error_exits_3(d4_file, capsys, monkeypatch):
     from geproci import certify
     from geproci.projgeom import CollisionDetected

@@ -215,9 +215,14 @@ def _with_symbol(sym):
     (_with_symbol({"name": "w", "order": 4, "minpoly": [-2, 0, 1]}),
      "symbols[1]"),
     (_with_symbol("w"), "symbols[1]"),
+    ({"ambient_dim": 2, "points": [["1", "0", "0"], ["1", "0"]]},
+     "points[1] must be a list of 3 coordinates"),
+    ({"ambient_dim": 3, "points": [["1", "0", "0", "0"], "1000"]},
+     "points[1] must be a list of 4 coordinates"),
 ], ids=["top-level-list", "missing-ambient-dim", "empty-points",
         "symbols-not-a-list", "symbol-missing-name", "symbol-non-string-name",
-        "symbol-neither-key", "symbol-both-keys", "symbol-non-object"])
+        "symbol-neither-key", "symbol-both-keys", "symbol-non-object",
+        "point-row-too-short", "point-row-not-a-list"])
 def test_load_rejects_bad_top_level_shape(tmp_path, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from geproci import linalg
 from geproci.linalg import (
     MAX_INNER_DIM,
+    PANEL,
     NotSquare,
     as_matrix,
     det,
@@ -17,7 +20,7 @@ from geproci.linalg import (
     rref_stack,
 )
 
-from oracles import det_cofactor, rank_minors
+from oracles import det_cofactor, rank_det_by_columns, rank_minors
 
 P = 1073741827
 
@@ -153,3 +156,80 @@ def test_rref_stack_agrees_with_rref_and_rank(case):
         want, pivots = rref(item, p)
         assert np.array_equal(got, want)
         assert rk == len(pivots) == rank(item, p)
+
+
+P31 = 2**31 - 1   # largest prime the library accepts
+
+
+@st.composite
+def _blocked_cases(draw):
+    """(p, M): matrices with more than PANEL columns, wide or tall, so the
+    blocked path of rank and det runs one or more trailing updates."""
+    p = draw(st.sampled_from([7, P, P31]))
+    cols = draw(st.integers(PANEL + 1, 2 * PANEL + 20))
+    shape = draw(st.sampled_from(["wide", "square", "tall"]))
+    rows = draw({"wide": st.integers(1, cols - 1), "square": st.just(cols),
+                 "tall": st.integers(cols + 1, cols + 40)}[shape])
+    kind = draw(st.sampled_from(["product", "repeats", "all p-1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "all p-1":
+        return p, np.full((rows, cols), p - 1, dtype=np.int64)
+    if kind == "product":
+        # rank at most k; small left factor, so X @ Y fits int64
+        k = draw(st.integers(0, min(rows, cols)))
+        X = rng.integers(-3, 4, (rows, k))
+        return p, X @ rng.integers(0, p, (k, cols)) % p
+    M = rng.integers(0, p, (rows, cols))
+    for axis, size in ((0, rows), (1, cols)):
+        M = np.moveaxis(M, axis, 0)
+        zero = rng.choice(size, draw(st.integers(0, size // 4)))
+        src = rng.choice(size, draw(st.integers(0, size // 2)))
+        dst = rng.choice(size, src.size)
+        M[dst] = M[src]
+        M[zero] = 0
+        M = np.moveaxis(M, 0, axis)
+    return p, M
+
+
+@given(_blocked_cases())
+@settings(max_examples=40, deadline=None)
+def test_blocked_rank_and_det_match_column_loop(case):
+    p, M = case
+    want_rank, want_det = rank_det_by_columns(M, p)
+    assert rank(M, p) == want_rank
+    if want_det is not None:
+        assert det(M, p) == want_det
+
+
+def test_trailing_product_exact_at_its_bound():
+    # 2**8 terms of one sign, near the largest the docstring allows:
+    # L entry (p + 1)/2 is -(p - 1)/2 balanced, and U's limbs are
+    # hi = 1 - 2**14 and lo in [-2**15, -2**14]. Row p - 2 is small only
+    # once balanced; unbalanced, its lo sum would be an odd integer near
+    # 2**54, which float64 cannot hold.
+    p, k = P31, 2**8
+    lo_limbs = np.random.default_rng(3).integers(-2**15, -2**14, k)
+    lo_limbs[0] += 1 - lo_limbs.sum() % 2
+    U = ((1 - 2**14) * 2**16 + lo_limbs + p)[:, None] * np.ones(3, np.int64)
+    U[:, 2] = 1
+    L = np.array([[(p + 1) // 2] * k, [p - 2] * k], dtype=np.int64)
+    T = np.array([[0, 1, p - 1], [5, 0, 7]], dtype=np.int64)
+    want = (T.astype(object) - L.astype(object) @ U.astype(object)) % p
+    hi, lo = linalg._limbs(U, p)
+    assert np.array_equal(lo[:, 0], lo_limbs)
+    linalg._sub_product(T, L, hi, lo, p)
+    assert T.tolist() == want.tolist()
+
+
+def test_rank_memory_stays_within_twice_the_input():
+    # rank works in place on its one reduced copy; the trailing update
+    # goes in strips, so no second full-size array is made
+    M = np.random.default_rng(0).integers(0, P, (660, 1001))
+    tracemalloc.start()
+    try:
+        r = rank(M, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == 660
+    assert peak <= 2 * M.nbytes
