@@ -69,23 +69,26 @@ def _multiples_span(F, a, b, p):
 
 
 def _complement_candidates(kernel, span_rows, p, rng, limit=5):
-    """Up to `limit` kernel vectors outside the row span of span_rows."""
-    base_rank = linalg.rank(span_rows, p)
-    out = []
-    for v in kernel:
-        if len(out) == limit:
-            return out
-        M = np.concatenate([span_rows, v.reshape(1, -1)])
-        if linalg.rank(M, p) > base_rank:
-            out.append(v)
+    """Up to `limit` kernel vectors outside the row span of span_rows.
+
+    With R, pivots the reduced echelon form of span_rows, a vector v lies
+    in that span exactly when its residue v - v[pivots] R is zero, so one
+    product decides every kernel vector at once."""
+    R, pivots = linalg.rref(span_rows, p)
+    R = R[:len(pivots)]
+
+    def outside(V):
+        V = linalg.as_matrix(V, p)
+        return ((V - linalg.mat_mul(V[:, pivots], R, p)) % p).any(axis=1)
+
+    out = [v for v, new in zip(kernel, outside(kernel)) if new][:limit]
     attempts = 0
     while len(out) < limit and attempts < 50:
         attempts += 1
         v = np.zeros_like(kernel[0])
         for w in kernel:
             v = (v + rng.randrange(p) * w) % p
-        M = np.concatenate([span_rows, v.reshape(1, -1)])
-        if linalg.rank(M, p) > base_rank:
+        if outside(v)[0]:
             out.append(v)
     return out
 

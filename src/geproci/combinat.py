@@ -9,12 +9,13 @@ a collinearity-preserving bijection.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .projgeom import ProjPoint, subset_flats
+from .projgeom import ProjPoint, spanned_flats
 
 
 class NotA33Grid(ValueError):
@@ -36,39 +37,21 @@ def _points(Z):
     return list(Z.points) if hasattr(Z, "points") else list(Z)
 
 
-def _line_members(points):
-    lines = {}
-    for (i, j), f in subset_flats(points, 2):
-        lines.setdefault(f, set()).update((points[i], points[j]))
-    for f, v in lines.items():  # in place, so no second copy is alive
-        lines[f] = frozenset(v)
-    return lines
+def _census(Z, k):
+    members = spanned_flats(_points(Z), k)
+    hist = dict(Counter(len(v) for v in members.values()))
+    return IncidenceCensus(k - 1, hist, members)
 
 
 def line_census(Z) -> IncidenceCensus:
     """Histogram of lines by how many of the points they contain."""
-    points = _points(Z)
-    members = _line_members(points)
-    hist = {}
-    for v in members.values():
-        hist[len(v)] = hist.get(len(v), 0) + 1
-    return IncidenceCensus(1, hist, members)
+    return _census(Z, 2)
 
 
 def plane_census(Z) -> IncidenceCensus:
     """Histogram of planes (spanned by noncollinear triples) by point
     count, for configurations in 3-space."""
-    points = _points(Z)
-    planes = {}
-    for t, f in subset_flats(points, 3):
-        if f.dim == 2:
-            planes.setdefault(f, set()).update(points[i] for i in t)
-    for f, v in planes.items():
-        planes[f] = frozenset(v)
-    hist = {}
-    for v in planes.values():
-        hist[len(v)] = hist.get(len(v), 0) + 1
-    return IncidenceCensus(2, hist, planes)
+    return _census(Z, 3)
 
 
 def _line_intersection(f1, f2):
@@ -97,7 +80,7 @@ def brianchon_points(Z):
     with the characteristic {2: 18, 3: 16} line census.
     """
     points = _points(Z)
-    members = _line_members(points)
+    members = spanned_flats(points, 2)
     if len(points) != 9 or sorted(
             len(v) for v in members.values()) != [2] * 18 + [3] * 6:
         raise NotA33Grid("expected the 9 points and 6+18 lines of a "
@@ -114,7 +97,7 @@ def brianchon_points(Z):
                  key=lambda q: q.coords)
     if len(six) != 6:
         raise NotA33Grid(f"found {len(six)} concurrency points, expected 6")
-    coll = _collinear_triples(six)
+    coll = _collinear_triples(six, spanned_flats(six, 2))
     for tri in itertools.combinations(range(6), 3):
         rest = frozenset(range(6)).difference(tri)
         if frozenset(tri) in coll and rest in coll:
@@ -126,31 +109,35 @@ def brianchon_points(Z):
 # ---------------------------------------------------------------------------
 # weak combinatorial equivalence
 
-def _profiles(points, members):
-    """Per-point multiset of sizes of the lines through it."""
-    prof = {q: [] for q in points}
+def _line_structure(points, members):
+    """(profiles, nbr, classes, big) on point indices: the sorted sizes of
+    the lines through each point, the bitmask of its two-point-line
+    neighbours, a bitmask of the points of each profile, and the bitmasks
+    of the lines with three or more points."""
+    index = {q: i for i, q in enumerate(points)}
+    sizes = [[] for _ in points]
+    nbr = [0] * len(points)
+    big = []
     for v in members.values():
-        for q in v:
-            prof[q].append(len(v))
-    return {q: tuple(sorted(s)) for q, s in prof.items()}
-
-
-def _two_point_neighbors(points, members):
-    nbr = {q: set() for q in points}
-    for v in members.values():
-        if len(v) == 2:
-            a, b = tuple(v)
-            nbr[a].add(b)
-            nbr[b].add(a)
-    return nbr
-
-
-def _profile_classes(points, members):
-    prof = _profiles(points, members)
+        idx = [index[q] for q in v]
+        for i in idx:
+            sizes[i].append(len(v))
+        if len(idx) == 2:
+            a, b = idx
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
+        else:
+            big.append(sum(1 << i for i in idx))
+    profiles = [tuple(sorted(s)) for s in sizes]
     classes = {}
-    for q, t in prof.items():
-        classes.setdefault(t, set()).add(q)
-    return classes
+    for i, t in enumerate(profiles):
+        classes[t] = classes.get(t, 0) | 1 << i
+    return profiles, nbr, classes, big
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def k33_probe(points, members):
@@ -161,16 +148,18 @@ def k33_probe(points, members):
     points of profile A share at least three common neighbors of
     profile B. Invariant under collinearity-preserving bijections.
     """
-    nbr = _two_point_neighbors(points, members)
-    classes = _profile_classes(points, members)
+    return _k33(_line_structure(points, members))
+
+
+def _k33(structure):
+    _, nbr, classes, _ = structure
     found = set()
     for pa, A in classes.items():
         for pb, B in classes.items():
             if pa == pb:
                 continue
-            for t in itertools.combinations(sorted(A, key=lambda q: q.coords), 3):
-                common = nbr[t[0]] & nbr[t[1]] & nbr[t[2]] & B
-                if len(common) >= 3:
+            for i, j, k in itertools.combinations(_bits(A), 3):
+                if (nbr[i] & nbr[j] & nbr[k] & B).bit_count() >= 3:
                     found.add((pa, pb))
                     break
     return frozenset(found)
@@ -185,40 +174,39 @@ def disjoint_k13_probe(points, members):
     configuration exists. Invariant under collinearity-preserving
     bijections.
     """
-    nbr = _two_point_neighbors(points, members)
-    classes = _profile_classes(points, members)
-    big = [v for v in members.values() if len(v) >= 3]
+    return _k13(_line_structure(points, members))
+
+
+def _k13(structure):
+    _, nbr, classes, big = structure
     found = set()
     for prof, C in classes.items():
         for v in big:
-            key = (prof, len(v))
+            key = (prof, v.bit_count())
             if key in found:
                 continue
-            for c1, c2 in itertools.combinations(
-                    sorted(C - v, key=lambda q: q.coords), 2):
-                a = nbr[c1] & v
-                b = nbr[c2] & v
-                if len(a) >= 3 and len(b) >= 3 and not (a & b):
-                    found.add(key)
-                    break
+            feet = [nbr[c] & v for c in _bits(C & ~v)]
+            feet = [a for a in feet if a.bit_count() >= 3]
+            if any(not a & b for a, b in itertools.combinations(feet, 2)):
+                found.add(key)
     return frozenset(found)
 
 
-def _collinear_triples(points):
-    """Index triples of the points that span a line."""
-    return {frozenset(t) for t, f in subset_flats(points, 3) if f.dim == 1}
+def _collinear_triples(points, lines):
+    """Index triples of the points that lie on one of their lines."""
+    index = {q: i for i, q in enumerate(points)}
+    return {frozenset(t) for v in lines.values() if len(v) >= 3
+            for t in itertools.combinations([index[q] for q in v], 3)}
 
 
-def _search_bijection(pts1, pts2, prof1, prof2):
+def _search_bijection(prof1, prof2, coll1, coll2):
     """Backtracking search for a collinearity-preserving bijection,
-    candidates restricted to matching line profiles."""
-    n = len(pts1)
-    coll1 = _collinear_triples(pts1)
-    coll2 = _collinear_triples(pts2)
+    candidates restricted to matching line profiles (lists indexed by
+    point); coll1 and coll2 are the collinear index triples."""
+    n = len(prof1)
     # assign points in order of rarest profile first
-    from collections import Counter
-    freq = Counter(prof1[q] for q in pts1)
-    order = sorted(range(n), key=lambda i: (freq[prof1[pts1[i]]], i))
+    freq = Counter(prof1)
+    order = sorted(range(n), key=lambda i: (freq[prof1[i]], i))
     image = [None] * n
     used = [False] * n
     assigned = []
@@ -228,7 +216,7 @@ def _search_bijection(pts1, pts2, prof1, prof2):
             return True
         i = order[pos]
         for j in range(n):
-            if used[j] or prof1[pts1[i]] != prof2[pts2[j]]:
+            if used[j] or prof1[i] != prof2[j]:
                 continue
             ok = True
             for a, b in itertools.combinations(assigned, 2):
@@ -266,20 +254,22 @@ def weak_comb_equivalent(Z1, Z2, exhaustive_bound=16):
         raise SizeMismatch(f"{len(pts1)} vs {len(pts2)} points")
     if pts1 == pts2:
         return ("Equivalent", list(range(len(pts1))))
-    m1, m2 = _line_members(pts1), _line_members(pts2)
+    m1, m2 = spanned_flats(pts1, 2), spanned_flats(pts2, 2)
     h1 = sorted((len(v) for v in m1.values()))
     h2 = sorted((len(v) for v in m2.values()))
     if h1 != h2:
         return ("Distinguished", "line_census")
-    prof1, prof2 = _profiles(pts1, m1), _profiles(pts2, m2)
-    if sorted(prof1.values()) != sorted(prof2.values()):
+    s1, s2 = _line_structure(pts1, m1), _line_structure(pts2, m2)
+    prof1, prof2 = s1[0], s2[0]
+    if sorted(prof1) != sorted(prof2):
         return ("Distinguished", "point_line_profile")
-    if k33_probe(pts1, m1) != k33_probe(pts2, m2):
+    if _k33(s1) != _k33(s2):
         return ("Distinguished", "k33_probe")
-    if disjoint_k13_probe(pts1, m1) != disjoint_k13_probe(pts2, m2):
+    if _k13(s1) != _k13(s2):
         return ("Distinguished", "disjoint_k13_probe")
     if len(pts1) <= exhaustive_bound:
-        bij = _search_bijection(pts1, pts2, prof1, prof2)
+        bij = _search_bijection(prof1, prof2, _collinear_triples(pts1, m1),
+                                _collinear_triples(pts2, m2))
         if bij is None:
             return ("Distinguished", "exhaustive_search")
         return ("Equivalent", bij)

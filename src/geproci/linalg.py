@@ -66,7 +66,7 @@ def _eliminate(A, p, reduced):
                 sign = -sign
             piv = int(A[r, c])
             det_unit = det_unit * piv % p
-            inv = pow(piv, p - 2, p)
+            inv = pow(piv, -1, p)
             A[r, c:c1] = A[r, c:c1] * inv % p
             if reduced:
                 sel = np.nonzero(A[:, c])[0]

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 
 
-SUBSET_CHUNK = 512   # subsets per batched elimination in subset_flats
+SUBSET_CHUNK = 512   # subsets per batched elimination in spanned_flats
 
 
 class EmptyInput(ValueError):
@@ -47,7 +47,7 @@ def normalize(coords, p):
     vals = [int(c) % p for c in coords]
     for v in vals:
         if v:
-            inv = pow(v, p - 2, p)
+            inv = pow(v, -1, p)
             return tuple(x * inv % p for x in vals)
     raise ValueError("zero vector is not a projective point")
 
@@ -122,21 +122,74 @@ def flat_through(points) -> Flat:
     return Flat(rows, p)
 
 
-def subset_flats(points, k):
-    """Yield (index_tuple, Flat) for every k-subset of the points, in
-    itertools.combinations order; each Flat equals flat_through of that
-    subset. The subsets are reduced SUBSET_CHUNK at a time by one
-    linalg.rref_stack, which bounds the scratch memory."""
+def _rank_k_subsets(coords, k, p):
+    """(K, S): the reduced row echelon forms, one row each, and the row
+    indices of the k-subsets of rank k of the rows of coords, in
+    itertools.combinations order, SUBSET_CHUNK subsets per rref_stack."""
+    combos = itertools.combinations(range(len(coords)), k)
+    keys, subsets = [], []
+    while chunk := list(itertools.islice(combos, SUBSET_CHUNK)):
+        idx = np.array(chunk, dtype=np.int32)
+        R, ranks = linalg.rref_stack(coords[idx], p)
+        full = ranks == k
+        # entries lie in [0, p) with p < 2**31
+        keys.append(R[full].reshape(-1, R[0].size).astype(np.int32))
+        subsets.append(idx[full])
+    return np.concatenate(keys), np.concatenate(subsets)
+
+
+def _group_subsets(coords, k, p):
+    """(entries, rows, sizes) of the flats spanned by those subsets, in
+    the order of their first subset: the entries of their echelon forms,
+    flat after flat, the rows on each flat in the order the subsets first
+    meet them, and the number of rows on each."""
+    n = len(coords)
+    K, S = _rank_k_subsets(coords, k, p)
+    order = np.lexsort(K.T[::-1])   # stable: a group's first subset leads
+    Ks = K[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (Ks[1:] != Ks[:-1]).any(axis=1)
+    # first[i]: the first subset spanning the flat of subset i; the flats
+    # are numbered in the order of their first subsets
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    lead = first == np.arange(len(first))
+    group = (np.cumsum(lead) - 1)[first]
+    # each (flat, row) pair once, by flat, then by first sight
+    codes, seen = np.unique((group[:, None] * n + S).ravel(),
+                            return_index=True)
+    codes = codes[np.lexsort((seen, codes // n))]
+    sizes = np.bincount(codes // n)
+    return K[lead].ravel().tolist(), (codes % n).tolist(), sizes.tolist()
+
+
+def spanned_flats(points, k):
+    """{Flat: frozenset of points} for the (k-1)-flats spanned by k-subsets
+    of the points. Flats and their members come in the order that adding
+    the points of each subset in itertools.combinations order gives, but
+    one Flat and one frozenset are made per flat, not per subset. Raises
+    NotDistinct if two of the points coincide."""
+    first = {}
+    for i, q in enumerate(points):
+        if first.setdefault(q, i) != i:
+            raise NotDistinct(f"points {first[q]} and {i} coincide")
     if len(points) < k:
-        return
+        return {}
     _check_common(points)
     p = points[0].p
     coords = np.array([q.coords for q in points], dtype=np.int64)
-    combos = itertools.combinations(range(len(points)), k)
-    while chunk := list(itertools.islice(combos, SUBSET_CHUNK)):
-        R, ranks = linalg.rref_stack(coords[np.array(chunk)], p)
-        for idx, rows, rk in zip(chunk, R.tolist(), ranks.tolist()):
-            yield idx, Flat(tuple(map(tuple, rows[:rk])), p)
+    entries, on, sizes = _group_subsets(coords, k, p)
+    # basis tuples straight from the entries: rows of m, then k rows
+    rows = zip(*[iter(entries)] * coords.shape[1])
+    bases = zip(*[rows] * k)
+    members = [points[i] for i in on]
+    out, lo = {}, 0
+    for basis, size in zip(bases, sizes):
+        # through a set, as the per-subset updates built it, so that the
+        # frozenset iterates in the same order
+        out[Flat(basis, p)] = frozenset(set(members[lo:lo + size]))
+        lo += size
+    return out
 
 
 def line_through(a: ProjPoint, b: ProjPoint) -> Flat:

@@ -121,3 +121,95 @@ def solve_vandermonde(xs, ys, p):
         for k, c in enumerate(basis):
             coeffs[k] = (coeffs[k] + scale * c) % p
     return coeffs
+
+
+def _complement_rank(rows, p):
+    return rank_det_by_columns(rows, p)[0] if len(rows) else 0
+
+
+def complement_candidates_by_rank(kernel, span_rows, p, rng, limit=5):
+    """Up to `limit` kernel vectors outside the row span of span_rows,
+    decided by re-ranking [span_rows; v] for every candidate v, with the
+    random combinations drawn from rng exactly as the library draws them."""
+    span = [list(map(int, r)) for r in span_rows]
+    base = _complement_rank(span, p)
+    out = []
+    for v in kernel:
+        if len(out) == limit:
+            return out
+        if _complement_rank(span + [list(map(int, v))], p) > base:
+            out.append(v)
+    attempts = 0
+    while len(out) < limit and attempts < 50:
+        attempts += 1
+        v = np.zeros_like(kernel[0])
+        for w in kernel:
+            v = (v + rng.randrange(p) * w) % p
+        if _complement_rank(span + [list(map(int, v))], p) > base:
+            out.append(v)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# weak-equivalence probes on sets of points (members: line -> point set)
+
+def _profiles(points, members):
+    prof = {q: [] for q in points}
+    for v in members.values():
+        for q in v:
+            prof[q].append(len(v))
+    return {q: tuple(sorted(s)) for q, s in prof.items()}
+
+
+def _two_point_neighbors(points, members):
+    nbr = {q: set() for q in points}
+    for v in members.values():
+        if len(v) == 2:
+            a, b = tuple(v)
+            nbr[a].add(b)
+            nbr[b].add(a)
+    return nbr
+
+
+def _profile_classes(points, members):
+    classes = {}
+    for q, t in _profiles(points, members).items():
+        classes.setdefault(t, set()).add(q)
+    return classes
+
+
+def k33_probe_sets(points, members):
+    """(profile_A, profile_B) pairs, A != B, for which three points of
+    profile A share at least three two-point-line neighbors of profile B."""
+    nbr = _two_point_neighbors(points, members)
+    classes = _profile_classes(points, members)
+    found = set()
+    for pa, A in classes.items():
+        for pb, B in classes.items():
+            if pa == pb:
+                continue
+            for t in itertools.combinations(sorted(A, key=lambda q: q.coords), 3):
+                if len(nbr[t[0]] & nbr[t[1]] & nbr[t[2]] & B) >= 3:
+                    found.add((pa, pb))
+                    break
+    return frozenset(found)
+
+
+def disjoint_k13_probe_sets(points, members):
+    """(profile, line_size) pairs for which two points of that profile off
+    a line of that size each have at least three two-point-line neighbors
+    on it, the two triples disjoint."""
+    nbr = _two_point_neighbors(points, members)
+    classes = _profile_classes(points, members)
+    big = [v for v in members.values() if len(v) >= 3]
+    found = set()
+    for prof, C in classes.items():
+        for v in big:
+            for c1, c2 in itertools.combinations(
+                    sorted(C - v, key=lambda q: q.coords), 2):
+                a = nbr[c1] & v
+                b = nbr[c2] & v
+                if len(a) >= 3 and len(b) >= 3 and not (a & b):
+                    found.add((prof, len(v)))
+                    break
+    return frozenset(found)

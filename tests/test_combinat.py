@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,9 +14,14 @@ from geproci.combinat import (
     weak_comb_equivalent,
 )
 from geproci.configs import grid, named, unity_grid, z56
-from geproci.projgeom import span_dim
+from geproci.projgeom import NotDistinct, ProjPoint, span_dim
 
-from oracles import collinear, det_cofactor
+from oracles import (
+    collinear,
+    det_cofactor,
+    disjoint_k13_probe_sets,
+    k33_probe_sets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,16 @@ def test_census_accepts_plain_point_lists():
     assert line_census(cfg.points).histogram == {2: 18, 3: 16}
 
 
+def test_census_rejects_repeated_points():
+    points = named("d4").points
+    twice = points + [points[0]]
+    for census in (line_census, plane_census):
+        with pytest.raises(NotDistinct, match=r"points 0 and 12"):
+            census(twice)
+    with pytest.raises(NotDistinct):
+        weak_comb_equivalent(twice, named("f4").points[:13])
+
+
 # ---------------------------------------------------------------------------
 # grid concurrency points
 
@@ -159,6 +175,48 @@ def test_probe_fingerprints_differ_across_thirty_point_sets():
     assert data["z1"][0] != data["z3"][0]
     assert data["z2"][0] != data["z3"][0]
     assert data["z1"][1] != data["z2"][1]
+
+
+def _random_plane_points(seed):
+    """One to three lines of 4 to 7 points each, plus 4 to 9 scattered
+    points, in the plane over F_101: many two-point lines and a few long
+    ones, so the K_{3,3} probe often finds something."""
+    rng = random.Random(seed)
+    p = 101
+    points = []
+
+    def add(v):
+        if any(x % p for x in v) and ProjPoint.make(v, p) not in points:
+            points.append(ProjPoint.make(v, p))
+
+    for _ in range(rng.randrange(1, 4)):
+        u, w = ([rng.randrange(p) for _ in range(3)] for _ in range(2))
+        for _ in range(rng.randrange(4, 8)):
+            a, b = rng.randrange(p), rng.randrange(p)
+            add([a * x + b * y for x, y in zip(u, w)])
+    for _ in range(rng.randrange(4, 10)):
+        add([rng.randrange(p) for _ in range(3)])
+    return points
+
+
+def _probe_cases():
+    g1 = unity_grid(3, 3)
+    g2 = grid(3, 3, [(1, 2), (1, 5), (2, 3)], [(1, 7), (3, 4), (1, 0)],
+              g1.field)
+    cases = [(f"z{w}", z56(w).points) for w in (1, 2, 3)]
+    cases += [(label, named(label).points) for label in ("f4", "penrose")]
+    cases += [("grid33", g1.points), ("grid33-moved", g2.points)]
+    cases += [(f"random{s}", _random_plane_points(s)) for s in range(10)]
+    return cases
+
+
+@pytest.mark.parametrize("label,points", _probe_cases(),
+                         ids=[c[0] for c in _probe_cases()])
+def test_probes_match_set_oracles(label, points):
+    members = line_census(points).members
+    assert k33_probe(points, members) == k33_probe_sets(points, members)
+    assert (disjoint_k13_probe(points, members)
+            == disjoint_k13_probe_sets(points, members))
 
 
 def test_thirty_point_sets_pairwise_distinguished():

@@ -1,8 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geproci import projgeom
 from geproci.field import make_field, order_constraint
 from geproci.projgeom import (
     CollisionDetected,
@@ -20,6 +23,7 @@ from geproci.projgeom import (
     project_from,
     segre,
     span_dim,
+    spanned_flats,
 )
 
 from oracles import collinear
@@ -172,3 +176,55 @@ def test_line_through_contains_both():
     f = line_through(a, b)
     assert f.contains(a) and f.contains(b)
     assert f.dim == 1
+
+
+@st.composite
+def _point_sets(draw):
+    """(points, k, chunk): distinct points of P^2 or P^3 over F_7 or the
+    default prime, drawn as a mix of collinear and coplanar clusters and
+    scattered points, with a subset chunk size that often splits the
+    subsets over several batched eliminations."""
+    p = draw(st.sampled_from([7, P]))
+    nvars = draw(st.sampled_from([3, 4]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def vec():
+        return [rng.randrange(p) for _ in range(nvars)]
+
+    vecs = []
+    for kind in draw(st.lists(st.sampled_from(["line", "plane", "point"]),
+                              min_size=1, max_size=4)):
+        basis = [vec() for _ in range({"line": 2, "plane": 3}.get(kind, 1))]
+        for _ in range(rng.randrange(1, 6) if kind != "point" else 1):
+            c = [rng.randrange(p) for _ in basis]
+            vecs.append([sum(a * b[j] for a, b in zip(c, basis))
+                         for j in range(nvars)])
+    points = []
+    for v in vecs:
+        if any(x % p for x in v) and ProjPoint.make(v, p) not in points:
+            points.append(ProjPoint.make(v, p))
+    k = draw(st.sampled_from([2, 3]))
+    chunk = draw(st.sampled_from([1, 4, 37, projgeom.SUBSET_CHUNK]))
+    return points, k, chunk
+
+
+def _flats_one_subset_at_a_time(points, k):
+    flats = {}
+    for t in itertools.combinations(points, k):
+        f = flat_through(list(t))
+        if f.dim == k - 1:
+            flats.setdefault(f, set()).update(t)
+    return {f: frozenset(v) for f, v in flats.items()}
+
+
+@given(_point_sets())
+@settings(max_examples=80, deadline=None)
+def test_spanned_flats_match_grouping_by_flat_through(case):
+    points, k, chunk = case
+    with mock.patch.object(projgeom, "SUBSET_CHUNK", chunk):
+        got = spanned_flats(points, k)
+    want = _flats_one_subset_at_a_time(points, k)
+    # same flats in the same order, same members in the same order
+    assert list(got.items()) == list(want.items())
+    for v, w in zip(got.values(), want.values()):
+        assert list(v) == list(w)
