@@ -123,21 +123,19 @@ def solve_vandermonde(xs, ys, p):
     return coeffs
 
 
-def _complement_rank(rows, p):
-    return rank_det_by_columns(rows, p)[0] if len(rows) else 0
-
-
 def complement_candidates_by_rank(kernel, span_rows, p, rng, limit=5):
     """Up to `limit` kernel vectors outside the row span of span_rows,
     decided by re-ranking [span_rows; v] for every candidate v, with the
     random combinations drawn from rng exactly as the library draws them."""
-    span = [list(map(int, r)) for r in span_rows]
-    base = _complement_rank(span, p)
+    def grows(v):
+        return (rank_det_by_columns(np.vstack([span_rows, v]), p)[0]
+                > rank_det_by_columns(span_rows, p)[0])
+
     out = []
     for v in kernel:
         if len(out) == limit:
             return out
-        if _complement_rank(span + [list(map(int, v))], p) > base:
+        if grows(v):
             out.append(v)
     attempts = 0
     while len(out) < limit and attempts < 50:
@@ -145,7 +143,7 @@ def complement_candidates_by_rank(kernel, span_rows, p, rng, limit=5):
         v = np.zeros_like(kernel[0])
         for w in kernel:
             v = (v + rng.randrange(p) * w) % p
-        if _complement_rank(span + [list(map(int, v))], p) > base:
+        if grows(v):
             out.append(v)
     return out
 

@@ -210,8 +210,11 @@ def _probe_cases():
     return cases
 
 
-@pytest.mark.parametrize("label,points", _probe_cases(),
-                         ids=[c[0] for c in _probe_cases()])
+_PROBE_CASES = _probe_cases()
+
+
+@pytest.mark.parametrize("label,points", _PROBE_CASES,
+                         ids=[label for label, _ in _PROBE_CASES])
 def test_probes_match_set_oracles(label, points):
     members = line_census(points).members
     assert k33_probe(points, members) == k33_probe_sets(points, members)
