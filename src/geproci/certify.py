@@ -18,7 +18,7 @@ from . import linalg
 from .combinat import line_census
 from .ideals import (coprime_plane_curves, deletion_h_vectors,
                      generated_to_next_degree, ideal_dim, ideal_kernel,
-                     monomials, num_monomials)
+                     interp_matrix, monomials, num_monomials, simple_scheme)
 from .projgeom import (CollisionDetected, flat_through, project_general,
                        random_point, span_dim)
 
@@ -68,12 +68,13 @@ def _multiples_span(F, a, b, p):
     return np.stack(rows)
 
 
-def _complement_candidates(kernel, span_rows, p, rng, limit=5):
-    """Up to `limit` kernel vectors outside the row span of span_rows.
+def _span_test(span_rows, p):
+    """(rank, outside) for the row span of span_rows: outside(V) marks the
+    rows of V that lie outside it.
 
     With R, pivots the reduced echelon form of span_rows, a vector v lies
     in that span exactly when its residue v - v[pivots] R is zero, so one
-    product decides every kernel vector at once."""
+    product decides every row of V at once."""
     R, pivots = linalg.rref(span_rows, p)
     R = R[:len(pivots)]
 
@@ -81,6 +82,12 @@ def _complement_candidates(kernel, span_rows, p, rng, limit=5):
         V = linalg.as_matrix(V, p)
         return ((V - linalg.mat_mul(V[:, pivots], R, p)) % p).any(axis=1)
 
+    return len(pivots), outside
+
+
+def _complement_candidates(kernel, span_rows, p, rng, limit=5):
+    """Up to `limit` kernel vectors outside the row span of span_rows."""
+    _, outside = _span_test(span_rows, p)
     out = [v for v, new in zip(kernel, outside(kernel)) if new][:limit]
     attempts = 0
     while len(out) < limit and attempts < 50:
@@ -382,17 +389,21 @@ def remembers(W_points, Z_points, m, trials=2, seed=0, probes=50) -> Decision:
             continue
         image_of = dict(zip(Z_points, images))
         img_w = [image_of[q] for q in W_points]
-        base = ideal_dim(img_w, m, p)
-        data["dim_base"] = base
-        escaped = [repr(z) for z in Z_points
-                   if ideal_dim(img_w + [image_of[z]], m, p) != base]
-        failing = 0
+        probe_pts = []
         for _ in range(probes):
             q = random_point(3, p, rng)
             while q in img_w:
                 q = random_point(3, p, rng)
-            if ideal_dim(img_w + [q], m, p) != base:
-                failing += 1
+            probe_pts.append(q)
+        # a point raises the ideal dimension exactly when its evaluation
+        # row lies outside the span of W's rows
+        r, outside = _span_test(interp_matrix(simple_scheme(img_w), m, p), p)
+        base = num_monomials(3, m) - r
+        data["dim_base"] = base
+        rises = outside(interp_matrix(simple_scheme(images + probe_pts),
+                                      m, p)).tolist()
+        escaped = [repr(z) for z, up in zip(Z_points, rises) if up]
+        failing = sum(rises[len(images):])
         data["probes"] = probes
         data["probes_failing"] = failing
         if escaped:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .projgeom import ProjPoint, spanned_flats
+from .projgeom import points_of_rows, spanned_flats
 
 
 class NotA33Grid(ValueError):
@@ -54,24 +54,6 @@ def plane_census(Z) -> IncidenceCensus:
     return _census(Z, 3)
 
 
-def _line_intersection(f1, f2):
-    """Intersection point of two distinct concurrent lines, or None."""
-    if f1 == f2:
-        return None
-    p = f1.p
-    B1 = np.array(f1.basis, dtype=np.int64)
-    B2 = np.array(f2.basis, dtype=np.int64)
-    M = np.concatenate([B1.T, (-B2.T) % p], axis=1)
-    ker = linalg.kernel_basis(M, p)
-    if not ker:
-        return None
-    a = ker[0][:2]
-    v = (a[0] * B1[0] + a[1] * B1[1]) % p
-    if not v.any():
-        return None
-    return ProjPoint.make(v, p)
-
-
 def brianchon_points(Z):
     """The six concurrency points of the 18 two-point lines of a
     (3,3)-grid, partitioned into two collinear triples.
@@ -85,14 +67,27 @@ def brianchon_points(Z):
             len(v) for v in members.values()) != [2] * 18 + [3] * 6:
         raise NotA33Grid("expected the 9 points and 6+18 lines of a "
                          "(3,3)-grid")
-    two_lines = [f for f, v in members.items() if len(v) == 2]
+    p = points[0].p
+    B = np.array([f.basis for f in members if len(members[f]) == 2])
+    pairs = list(itertools.combinations(range(len(B)), 2))
+    i, j = np.array(pairs).T
+    # every pair's [B_i^T | B_j^T] in one stack: B_i's independent rows
+    # make columns 0 and 1 pivots. Two distinct lines that meet give rank
+    # 3 and meet in R[0, c] B_i[0] + R[1, c] B_i[1], c the free column
+    # (the kernel is spanned by e_c - R[:, c] on the pivots); skew lines
+    # give rank 4, where R[:2, 2:] is zero and so is that combination
+    R, _ = linalg.rref_stack(np.concatenate([B[i], B[j]], axis=1)
+                             .transpose(0, 2, 1), p)
+    c = np.where(R[:, 2, 2] != 0, 3, 2)
+    a = R[np.arange(len(R)), :2, c]
+    V = (a[:, :1] * B[i, 0] % p + a[:, 1:] * B[i, 1] % p) % p
+    meet = V.any(axis=1)
     grid_pts = set(points)
     conc = {}
-    for f1, f2 in itertools.combinations(two_lines, 2):
-        q = _line_intersection(f1, f2)
-        if q is None or q in grid_pts:
-            continue
-        conc.setdefault(q, set()).update((f1, f2))
+    for pair, q in zip(itertools.compress(pairs, meet),
+                       points_of_rows(V[meet], p)):
+        if q not in grid_pts:
+            conc.setdefault(q, set()).update(pair)
     six = sorted((q for q, ls in conc.items() if len(ls) >= 3),
                  key=lambda q: q.coords)
     if len(six) != 6:

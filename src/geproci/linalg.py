@@ -8,7 +8,9 @@ BLAS instead: balanced residues (|x| < 2**30) times signed 16-bit limbs
 give terms below 2**45, so a sum of up to 2**8 of them (the panel width
 PANEL = 64 bounds it) stays below 2**53, where float64 is exact.
 Pivoting always takes the first nonzero entry in a column, which makes
-every result deterministic.
+every result deterministic. rank takes a wide matrix on its short side:
+with more than PANEL columns and more columns than rows it eliminates
+the transpose, which has the same rank.
 """
 
 import numpy as np
@@ -206,7 +208,15 @@ def rref_stack(A, p):
 
 
 def rank(M, p) -> int:
-    A = as_matrix(M, p)
+    """Rank mod p. rank(M) = rank(M^T), so a matrix with more than PANEL
+    columns and more columns than rows is eliminated as its transpose,
+    reduced into one C-order copy: the panels then run along the short
+    side, and the row operations act on short rows."""
+    M = np.asarray(M, dtype=np.int64)
+    if M.ndim == 2 and M.shape[1] > max(M.shape[0], PANEL):
+        A = np.remainder(M.T, p, out=np.empty(M.shape[::-1], np.int64))
+    else:
+        A = as_matrix(M, p)
     pivots, _, _ = _eliminate(A, p, reduced=False)
     return len(pivots)
 

@@ -1,9 +1,11 @@
 """Projective points and flats over a prime field.
 
 Points are stored with a canonical representative (first nonzero
-coordinate scaled to 1) so equality and hashing just work. Flats carry
-the reduced row echelon form of a spanning matrix, which is likewise
-canonical and lets censuses deduplicate lines and planes by hashing.
+coordinate scaled to 1) so equality and hashing just work; a matrix of
+rows becomes points through points_of_rows, one product for all rows.
+Flats carry the reduced row echelon form of a spanning matrix, which is
+likewise canonical and lets censuses deduplicate lines and planes by
+hashing.
 """
 
 import itertools
@@ -61,6 +63,15 @@ class ProjPoint:
     def make(coords, p):
         return ProjPoint(normalize(coords, p), p)
 
+    def __hash__(self):
+        # the value the generated hash gives, computed once per point
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.coords, self.p))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def ambient_dim(self):
         return len(self.coords) - 1
@@ -88,6 +99,18 @@ class Flat:
     def contains(self, pt: ProjPoint) -> bool:
         M = list(self.basis) + [pt.coords]
         return linalg.rank(linalg.as_matrix(M, self.p), self.p) == len(self.basis)
+
+
+def points_of_rows(Y, p):
+    """Points of the rows of Y, none of them zero, normalised as
+    ProjPoint.make does: each row is scaled by the inverse of its first
+    nonzero entry, all rows in one product, and the coordinates come back
+    as Python ints."""
+    Y = linalg.as_matrix(Y, p)
+    lead = Y[np.arange(len(Y)), (Y != 0).argmax(axis=1)]
+    inv = np.array([pow(v, -1, p) for v in lead.tolist()], dtype=np.int64)
+    return [ProjPoint(tuple(row), p)
+            for row in (Y * inv[:, None] % p).tolist()]
 
 
 def random_point(nvars, p, rng):
@@ -284,11 +307,9 @@ def project_from(vertex: ProjPoint, points, seed: int = 0):
     T = projection_matrix(vertex, seed=seed)
     Z = linalg.as_matrix([q.coords for q in points], p)
     Y = linalg.mat_mul(Z, T.T, p)[:, :-1]
-    images = []
-    for row, q in zip(Y, points):
-        if not row.any():
-            raise VertexInZ(f"vertex {vertex} lies in the configuration")
-        images.append(ProjPoint.make(row, p))
+    if not Y.any(axis=1).all():
+        raise VertexInZ(f"vertex {vertex} lies in the configuration")
+    images = points_of_rows(Y, p)
     if len(set(images)) != len(images):
         raise CollisionDetected("projection identified two points")
     return images

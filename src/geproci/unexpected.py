@@ -17,7 +17,8 @@ import numpy as np
 from . import linalg
 from .configs import Configuration, FlatUnion
 from .ideals import interp_matrix, num_monomials
-from .projgeom import ProjPoint, project_general, random_point
+from .projgeom import (ProjPoint, points_of_rows, project_general,
+                       random_point)
 
 
 @dataclass
@@ -37,15 +38,23 @@ def _space(Z):
     return Z[0].ambient_dim, Z[0].p
 
 
-def _flat_point(flat, p, rng):
-    """Random point of a flat: random combination of its basis rows."""
+def _flat_points(flat, need, p, rng):
+    """`need` distinct random points of a flat: random combinations of its
+    basis rows, the coefficient rows drawn from rng one after another.
+
+    A batch of the rows still missing goes through one product; a zero
+    combination is dropped and a repeated point does not count, so later
+    batches draw only what is still missing. Each row adds at most one
+    point, so the rows drawn are exactly those a row-at-a-time loop
+    stopping at `need` points would draw."""
     B = np.array(flat.basis, dtype=np.int64)
-    while True:
-        c = np.array([rng.randrange(p) for _ in range(B.shape[0])],
-                     dtype=np.int64).reshape(1, -1)
-        v = linalg.mat_mul(c, B, p).ravel()
-        if v.any():
-            return ProjPoint.make(v, p)
+    got = set()
+    while len(got) < need:
+        C = [[rng.randrange(p) for _ in range(len(B))]
+             for _ in range(need - len(got))]
+        V = linalg.mat_mul(C, B, p)
+        got.update(points_of_rows(V[V.any(axis=1)], p))
+    return got
 
 
 def _condition_points(Z, t, rng):
@@ -61,10 +70,7 @@ def _condition_points(Z, t, rng):
         out = []
         for flat in Z.flats:
             k = flat.dim
-            need = math.comb(t + k, k)
-            got = set()
-            while len(got) < need:
-                got.add(_flat_point(flat, p, rng))
+            got = _flat_points(flat, math.comb(t + k, k), p, rng)
             out.extend(sorted(got, key=lambda q: q.coords))
         return out
     return list(Z)

@@ -6,8 +6,15 @@ library must agree with these on small inputs.
 
 import itertools
 import math
+import random
 
 import numpy as np
+
+from geproci.combinat import _collinear_triples
+from geproci.ideals import ideal_dim
+from geproci.linalg import kernel_basis
+from geproci.projgeom import (ProjPoint, project_general, random_point,
+                              spanned_flats)
 
 
 def det_cofactor(rows, p):
@@ -211,3 +218,73 @@ def disjoint_k13_probe_sets(points, members):
                     found.add((prof, len(v)))
                     break
     return frozenset(found)
+
+
+# ---------------------------------------------------------------------------
+# one call per item: the loops the batched library paths replaced
+
+def remembers_by_ideal_dim(W_points, Z_points, m, seed=0, probes=50):
+    """(dim_base, escaped, probes_failing) of certify.remembers' first
+    projection, with one ideal_dim call per image of Z and per probe, the
+    probes drawn between those calls as the library once drew them."""
+    p = W_points[0].p
+    rng = random.Random(repr((seed, "remembers")))
+    images = project_general(list(Z_points), rng)
+    image_of = dict(zip(Z_points, images))
+    img_w = [image_of[q] for q in W_points]
+    base = ideal_dim(img_w, m, p)
+    escaped = [repr(z) for z in Z_points
+               if ideal_dim(img_w + [image_of[z]], m, p) != base]
+    failing = 0
+    for _ in range(probes):
+        q = random_point(3, p, rng)
+        while q in img_w:
+            q = random_point(3, p, rng)
+        if ideal_dim(img_w + [q], m, p) != base:
+            failing += 1
+    return base, escaped, failing
+
+
+def flat_samples_one_by_one(flat, need, p, rng):
+    """`need` distinct random points of a flat, one coefficient row and one
+    product per attempt, redrawing zero combinations."""
+    B = np.array(flat.basis, dtype=np.int64)
+    got = set()
+    while len(got) < need:
+        while True:
+            c = [rng.randrange(p) for _ in range(B.shape[0])]
+            v = np.array(c, dtype=object) @ B.astype(object) % p
+            if v.any():
+                got.add(ProjPoint.make(v.tolist(), p))
+                break
+    return got
+
+
+def brianchon_by_pairs(points):
+    """The two collinear triples of brianchon_points for a (3,3)-grid, with
+    every pair of two-point lines intersected by its own kernel."""
+    members = spanned_flats(points, 2)
+    two_lines = [f for f, v in members.items() if len(v) == 2]
+    conc = {}
+    for f1, f2 in itertools.combinations(two_lines, 2):
+        p = f1.p
+        B1 = np.array(f1.basis, dtype=np.int64)
+        B2 = np.array(f2.basis, dtype=np.int64)
+        ker = kernel_basis(np.concatenate([B1.T, (-B2.T) % p], axis=1), p)
+        if not ker:
+            continue
+        v = (ker[0][0] * B1[0] + ker[0][1] * B1[1]) % p
+        if not v.any():
+            continue
+        q = ProjPoint.make(v, p)
+        if q not in points:
+            conc.setdefault(q, set()).update((f1, f2))
+    six = sorted((q for q, ls in conc.items() if len(ls) >= 3),
+                 key=lambda q: q.coords)
+    coll = _collinear_triples(six, spanned_flats(six, 2))
+    for tri in itertools.combinations(range(6), 3):
+        rest = frozenset(range(6)).difference(tri)
+        if frozenset(tri) in coll and rest in coll:
+            return (tuple(six[i] for i in tri),
+                    tuple(six[i] for i in sorted(rest)))
+    return None

@@ -23,7 +23,7 @@ from geproci.configs import named, unity_grid
 from geproci.field import make_field
 from geproci.projgeom import ProjPoint, segre
 
-from oracles import complement_candidates_by_rank
+from oracles import complement_candidates_by_rank, remembers_by_ideal_dim
 
 P = make_field([]).p
 
@@ -173,6 +173,30 @@ def test_remembers_full_set_trivially():
     dec = remembers(cfg.points, cfg.points, 3, seed=1, probes=5)
     assert dec.verdict == YES
     assert dec.data["probes"] == 5
+
+
+def _memory_cases(seed):
+    """(W, Z) pairs: f4 without four random points and d4 without three;
+    at m = 4 the d4 case has points that escape, the others do not."""
+    f4, d4 = named("f4").points, named("d4").points
+    rng = random.Random(seed)
+    out = []
+    for Z, drop in ((f4, 4), (d4, 3)):
+        gone = set(rng.sample(range(len(Z)), drop))
+        out.append(([q for i, q in enumerate(Z) if i not in gone], Z))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_remembers_matches_ideal_dim_oracle(seed, m):
+    for W, Z in _memory_cases(seed):
+        dec = remembers(W, Z, m, seed=seed, probes=20)
+        want = remembers_by_ideal_dim(W, Z, m, seed=seed, probes=20)
+        got = (dec.data["dim_base"], dec.data.get("escaped", []),
+               dec.data["probes_failing"])
+        assert got == want
+        assert dec.verdict == (NO if want[1] else YES)
 
 
 # ---------------------------------------------------------------------------

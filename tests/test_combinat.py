@@ -14,11 +14,13 @@ from geproci.combinat import (
     weak_comb_equivalent,
 )
 from geproci.configs import grid, named, unity_grid, z56
+from geproci.field import make_field
 from geproci.projgeom import NotDistinct, ProjPoint, span_dim
 
 from oracles import (
     collinear,
     det_cofactor,
+    brianchon_by_pairs,
     disjoint_k13_probe_sets,
     k33_probe_sets,
 )
@@ -154,6 +156,20 @@ def test_brianchon_points_of_grid():
     for tri in (tri1, tri2):
         aug = list(g.points) + list(tri)
         assert line_census(aug).histogram == {2: 18, 3: 16}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brianchon_points_match_pairwise_oracle(seed):
+    # seeded grids on xw = yz, over the default prime and over F_101
+    rng = random.Random(seed)
+    fs = unity_grid(3, 3).field if seed < 4 else make_field([], 101)
+    while True:
+        pa = [(1, rng.randrange(fs.p)) for _ in range(3)]
+        pb = [(1, rng.randrange(fs.p)) for _ in range(3)]
+        if len(set(pa)) == 3 and len(set(pb)) == 3:
+            break
+    g = grid(3, 3, pa, pb, fs)
+    assert brianchon_points(g) == brianchon_by_pairs(g.points)
 
 
 def test_brianchon_rejects_non_grid():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -170,10 +172,12 @@ def _blocked_cases(draw):
     shape = draw(st.sampled_from(["wide", "square", "tall"]))
     rows = draw({"wide": st.integers(1, cols - 1), "square": st.just(cols),
                  "tall": st.integers(cols + 1, cols + 40)}[shape])
-    kind = draw(st.sampled_from(["product", "repeats", "all p-1"]))
+    kind = draw(st.sampled_from(["product", "repeats", "all p-1", "flats"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "all p-1":
         return p, np.full((rows, cols), p - 1, dtype=np.int64)
+    if kind == "flats":
+        return p, _flat_rows(draw, rng, p)
     if kind == "product":
         # rank at most k; small left factor, so X @ Y fits int64
         k = draw(st.integers(0, min(rows, cols)))
@@ -191,12 +195,35 @@ def _blocked_cases(draw):
     return p, M
 
 
+def _flat_rows(draw, rng, p):
+    """Wide and block sparse, like the evaluation matrices of flat unions:
+    the degree-t monomials (70 to 120 columns) at points on coordinate
+    lines and planes of P^n. A line imposes at most t + 1 conditions and
+    the first t + 2 points lie on one, so the rank is below the row
+    count."""
+    n, t = draw(st.sampled_from([(4, 4), (3, 6), (3, 7)]))
+    exps = np.array([e for e in itertools.product(range(t + 1), repeat=n + 1)
+                     if sum(e) == t])
+    flats = [s for k in (2, 3) for s in itertools.combinations(range(n + 1), k)]
+    rows = draw(st.integers(len(exps) // 2, len(exps) - 1))
+    M = np.empty((rows, len(exps)), dtype=np.int64)
+    for i in range(rows):
+        coords = [0] * (n + 1)
+        f = 0 if i < t + 2 else draw(st.integers(0, len(flats) - 1))
+        for j in flats[f]:
+            coords[j] = int(rng.integers(1, p))
+        M[i] = [math.prod(pow(c, int(e), p) for c, e in zip(coords, ex)) % p
+                for ex in exps]
+    return M
+
+
 @given(_blocked_cases())
 @settings(max_examples=40, deadline=None)
 def test_blocked_rank_and_det_match_column_loop(case):
     p, M = case
     want_rank, want_det = rank_det_by_columns(M, p)
     assert rank(M, p) == want_rank
+    assert rank(M - p, p) == want_rank   # unreduced entries are reduced
     if want_det is not None:
         assert det(M, p) == want_det
 

@@ -20,6 +20,7 @@ from geproci.projgeom import (
     harmonic_conjugate,
     line_through,
     normalize,
+    points_of_rows,
     project_from,
     segre,
     span_dim,
@@ -33,6 +34,24 @@ P = 1073741827
 
 def pt(*coords):
     return ProjPoint.make(list(coords), P)
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_points_of_rows_match_make(p):
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(4)] for _ in range(40)]
+    rows += [[0, 0, 0, 5], [0, p - 1, 0, 0], [3, 0, 0, 0]]
+    rows = [r for r in rows if any(r)]
+    got = points_of_rows(rows, p)
+    assert got == [ProjPoint.make(r, p) for r in rows]
+    assert all(type(c) is int for q in got for c in q.coords)
+
+
+def test_point_hash_is_the_tuple_hash():
+    # the cached hash equals the generated one, so sets iterate as before
+    for q in (pt(1, 2, 3, 4), pt(0, 0, 5, 1), ProjPoint.make([3, 1], 7)):
+        assert hash(q) == hash(q) == hash((q.coords, q.p))
+        assert q == ProjPoint(q.coords, q.p)
 
 
 def test_normalize_first_nonzero_is_one():

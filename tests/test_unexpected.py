@@ -1,9 +1,13 @@
 import math
+import random
 
 import pytest
 
 from geproci.configs import named, skeleton, unity_grid
+from geproci.projgeom import ProjPoint, flat_through
 from geproci.unexpected import (
+    _condition_points,
+    _flat_points,
     adim,
     c_predicate,
     skeleton_dims,
@@ -11,6 +15,8 @@ from geproci.unexpected import (
     vdim,
     verify_skeleton_T,
 )
+
+from oracles import flat_samples_one_by_one
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +59,37 @@ def test_skeleton_permutation_hypersurface(n):
     assert report["ok"]
     assert report["degree"] == n // 2 + 1
     assert report["order_at_Q"] >= report["order_required"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_condition_points_match_one_by_one_sampler(seed):
+    sk = skeleton(4, 2)
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    got = _condition_points(sk, 5, rng_got)
+    want = []
+    for flat in sk.flats:
+        want += sorted(flat_samples_one_by_one(flat, 21, sk.field.p,
+                                               rng_want),
+                       key=lambda q: q.coords)
+    assert got == want
+    assert all(type(c) is int for q in got for c in q.coords)
+    assert rng_got.getstate() == rng_want.getstate()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k,need", [(1, 8), (2, 21)])
+def test_flat_samples_with_zero_and_repeated_rows(seed, k, need):
+    # over F_7 a line has 8 points and a plane 57: repeats are common, and
+    # seeds 1, 2 and 4 draw a zero coefficient row on the line, so the
+    # batches of missing rows run
+    p = 7
+    flat = flat_through([ProjPoint.make([1 if j == i else 0
+                                         for j in range(4)], p)
+                         for i in range(k + 1)])
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    got = _flat_points(flat, need, p, rng_got)
+    assert got == flat_samples_one_by_one(flat, need, p, rng_want)
+    assert rng_got.getstate() == rng_want.getstate()
 
 
 # ---------------------------------------------------------------------------

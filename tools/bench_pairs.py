@@ -1,0 +1,130 @@
+"""Benchmark a parent revision against the working tree in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_9.json
+
+Run from the root of the repository. The parent revision is checked out
+with `git worktree add` into a temporary directory (removed at the end).
+For every workload of BENCHMARK.json and each of ten fixed seeds,
+`bench/run.py` runs once in each tree for the benchmark's run length, the
+tree that goes first alternating from pair to pair, so slow drift of the
+host falls on both sides alike. The output file holds the machine block,
+both revisions, the seeds, a per-metric summary (medians, quartiles and
+how many pairs the working tree won) and every result object.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = tuple(range(4, 14))   # ten pairs per workload
+
+
+def git(*args, cwd=ROOT, env=None):
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def src_tree(root):
+    """Tree id of src/ as it is on disk, untracked files included, built
+    in a throwaway index so the real one is not touched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        git("add", "-A", "src", cwd=root, env=env)
+        return git("write-tree", "--prefix=src/", cwd=root, env=env)
+
+
+def revision(root):
+    return {"commit": git("rev-parse", "HEAD", cwd=root),
+            "src_tree": src_tree(root),
+            "dirty": bool(git("status", "--porcelain", "src", cwd=root))}
+
+
+def run_bench(root, workload, seed, seconds):
+    """(machine block, result object) of one bench/run.py run in root."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    return json.loads(out[-2])["machine"], json.loads(out[-1])
+
+
+def summarise(runs, metrics):
+    """Per metric: each side's median and quartiles, the relative change
+    of the medians, and the pairs in which the working tree did better."""
+    out = {}
+    for name, better in metrics.items():
+        side = {k: [r["metrics"][name]["value"] for r in runs[k]]
+                for k in ("parent", "change")}
+        stats = {}
+        for k, vals in side.items():
+            q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+            stats[k] = {"median": med, "q1": q1, "q3": q3}
+        sign = -1 if better == "lower" else 1
+        stats["change_median_vs_parent"] = (
+            stats["change"]["median"] / stats["parent"]["median"] - 1)
+        stats["change_wins"] = sum(sign * (c - p) > 0 for p, c in
+                                   zip(side["parent"], side["change"]))
+        stats["pairs"] = len(side["parent"])
+        out[name] = stats
+    return out
+
+
+def main(argv=None):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD",
+                    help="revision to compare the working tree against")
+    ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    args = ap.parse_args(argv)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent_root), args.parent)
+        try:
+            roots = {"parent": parent_root, "change": ROOT}
+            revisions = {k: revision(r) for k, r in roots.items()}
+            runs, machine = {}, None
+            for workload in workloads:
+                runs[workload] = {"parent": [], "change": []}
+                for k, seed in enumerate(SEEDS):
+                    order = ("parent", "change")[::1 if k % 2 == 0 else -1]
+                    for side in order:
+                        machine, result = run_bench(roots[side], workload,
+                                                    seed, seconds)
+                        runs[workload][side].append(
+                            {"seed": seed, "ran_first": side == order[0],
+                             **result})
+                        print(f"{workload} seed {seed} {side}: pass_s "
+                              f"{result['metrics']['pass_s']['value']:.4g} "
+                              f"correct {result['correct']}",
+                              file=sys.stderr)
+        finally:
+            git("worktree", "remove", "--force", str(parent_root))
+    doc = {
+        "what": "bench/run.py result objects for the parent and the "
+                "working tree, run in alternating pairs on one machine "
+                "(ran_first marks the side that went first)",
+        "command": "python3 bench/run.py --workload W --seed S "
+                   f"--seconds {seconds:g} --trace 0",
+        "machine": machine,
+        "revisions": revisions,
+        "seeds": list(SEEDS),
+        "summary": {w: summarise(runs[w], metrics) for w in workloads},
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True)
+                              + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
