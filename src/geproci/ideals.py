@@ -66,19 +66,23 @@ def _power_rows(coords, exps, p):
     return rows
 
 
-def _derivative_entry(m_exp, M_exp, coords, p):
-    """(d/dx)^m applied to the monomial M, evaluated at the point."""
-    coeff = 1
-    val = 1
-    for a, b, c in zip(m_exp, M_exp, coords):
-        if a > b:
-            return 0
-        # falling factorial b*(b-1)*...*(b-a+1)
-        for k in range(a):
-            coeff = coeff * (b - k) % p
-        if b - a:
-            val = val * pow(int(c), b - a, p) % p
-    return coeff * val % p
+def _fat_rows(coords, mult, exps, p):
+    """Rows of a point of multiplicity mult: for each derivative
+    (d/dx)^m with |m| = mult - 1, its values on the monomials x^M at the
+    point, prod_j M_j!/(M_j - m_j)! c_j^(M_j - m_j). One power table on
+    the clipped differences M - m gives the powers; the falling factorial
+    of M_j < m_j is zero, which masks out the monomials m does not
+    divide."""
+    m = np.array(monomials(len(coords), mult - 1), dtype=np.int64)
+    E = np.asarray(exps, dtype=np.int64)
+    rows = _power_rows([coords], np.maximum(E - m[:, None], 0)
+                       .reshape(-1, E.shape[1]), p).reshape(len(m), len(E))
+    ff = np.array([[math.perm(e, a) % p for a in range(mult)]
+                   for e in range(int(E.max()) + 1)], dtype=np.int64)
+    for j in range(E.shape[1]):
+        rows *= ff[E[:, j], m[:, j, None]]
+        rows %= p
+    return rows
 
 
 def interp_matrix(scheme, t: int, p: int):
@@ -103,16 +107,12 @@ def interp_matrix(scheme, t: int, p: int):
     simple = iter(simple)
     rows = []
     for pt, mult in scheme:
-        coords = pt.coords
         if mult == 1:
             rows.append(next(simple))
             continue
         if p <= mult:
             raise CharTooSmall(f"need p > multiplicity {mult}")
-        for m_exp in monomials(nvars, mult - 1):
-            rows.append(np.array(
-                [_derivative_entry(m_exp, M, coords, p) for M in cols],
-                dtype=np.int64))
+        rows.extend(_fat_rows(pt.coords, mult, cols, p))
     return np.stack(rows)
 
 

@@ -4,20 +4,24 @@ Points are stored with a canonical representative (first nonzero
 coordinate scaled to 1) so equality and hashing just work; a matrix of
 rows becomes points through points_of_rows, one product for all rows.
 Flats carry the reduced row echelon form of a spanning matrix, which is
-likewise canonical and lets censuses deduplicate lines and planes by
-hashing.
+likewise canonical. Censuses group k-subsets by their Pluecker
+coordinates (k x k minors, first nonzero one scaled to 1) and read each
+flat's echelon form off its coordinates by Cramer's rule, so they
+eliminate nothing.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 
 
-SUBSET_CHUNK = 512   # subsets per batched elimination in spanned_flats
+SUBSET_CHUNK = 512   # k-subsets per batch of minors in spanned_flats
 
 
 class EmptyInput(ValueError):
@@ -145,18 +149,52 @@ def flat_through(points) -> Flat:
     return Flat(rows, p)
 
 
+@lru_cache(maxsize=None)
+def _laplace_table(m, s):
+    """(cols, rest), shape (s, C(m, s)): the columns of each s-subset J of
+    range(m) and the positions of J without each among the (s-1)-subsets."""
+    J = list(itertools.combinations(range(m), s))
+    pos = {t: i for i, t in enumerate(itertools.combinations(range(m), s - 1))}
+    return np.array(J).T, np.array([[pos[t[:i] + t[i + 1:]]
+                                     for i in range(s)] for t in J]).T
+
+
+def _minors(X, p):
+    """k x k minors of each k x m matrix of the stack X, columns in
+    combinations order, by Laplace expansion along each row over the
+    minors of the rows below it. A product x < 2**62 is reduced as
+    x - x // p * p: exact for x >= 0, and faster than % in numpy."""
+    k, m = X.shape[1:]
+    D = X[:, -1]
+    for r in range(k - 2, -1, -1):
+        cols, rest = _laplace_table(m, k - r)
+        acc = 0
+        for t in range(k - r):
+            x = X[:, r, cols[t]] * D[:, rest[t]]
+            x -= x // p * p
+            acc = acc - x if t % 2 else acc + x
+        D = acc % p
+    return D
+
+
 def _rank_k_subsets(coords, k, p):
-    """(K, S): the reduced row echelon forms, one row each, and the row
-    indices of the k-subsets of rank k of the rows of coords, in
-    itertools.combinations order, SUBSET_CHUNK subsets per rref_stack."""
-    combos = itertools.combinations(range(len(coords)), k)
+    """(K, S): the Pluecker keys (k x k minors, scaled so the first nonzero
+    one is 1) and the row indices of the k-subsets of rank k of the rows
+    of coords, in itertools.combinations order, SUBSET_CHUNK subsets at a
+    time. Rank k means a nonzero minor; equal keys mean equal spans."""
+    flat = itertools.chain.from_iterable(
+        itertools.combinations(range(len(coords)), k))
     keys, subsets = [], []
-    while chunk := list(itertools.islice(combos, SUBSET_CHUNK)):
-        idx = np.array(chunk, dtype=np.int32)
-        R, ranks = linalg.rref_stack(coords[idx], p)
-        full = ranks == k
+    while (idx := np.fromiter(itertools.islice(flat, SUBSET_CHUNK * k),
+                              np.int32)).size:
+        idx = idx.reshape(-1, k)
+        D = _minors(coords[idx], p)
+        full = D.any(axis=1)
+        D = D[full]
+        lead = D[np.arange(len(D)), (D != 0).argmax(axis=1)]
         # entries lie in [0, p) with p < 2**31
-        keys.append(R[full].reshape(-1, R[0].size).astype(np.int32))
+        keys.append((D * linalg._inv_stack(lead, p)[:, None] % p)
+                    .astype(np.int32))
         subsets.append(idx[full])
     return np.concatenate(keys), np.concatenate(subsets)
 
@@ -165,25 +203,36 @@ def _group_subsets(coords, k, p):
     """(entries, rows, sizes) of the flats spanned by those subsets, in
     the order of their first subset: the entries of their echelon forms,
     flat after flat, the rows on each flat in the order the subsets first
-    meet them, and the number of rows on each."""
-    n = len(coords)
+    meet them, and the number of rows on each. Nothing is eliminated: a
+    flat's first nonzero Pluecker coordinate J is its first column basis,
+    so its pivots, and by Cramer's rule row i of its echelon form is
+    (-1)**i W[J - j_i], where W[I, c] = +-P[I + c] is signed as in the
+    Laplace expansion (P_J = 1)."""
+    n, m = coords.shape
     K, S = _rank_k_subsets(coords, k, p)
     order = np.lexsort(K.T[::-1])   # stable: a group's first subset leads
-    Ks = K[order]
     starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (Ks[1:] != Ks[:-1]).any(axis=1)
+    starts[1:] = np.diff(K[order], axis=0).any(axis=1)
     # first[i]: the first subset spanning the flat of subset i; the flats
     # are numbered in the order of their first subsets
     first = np.empty_like(order)
     first[order] = order[starts][np.cumsum(starts) - 1]
     lead = first == np.arange(len(first))
     group = (np.cumsum(lead) - 1)[first]
+    K = K[lead]   # only the flats' keys are needed from here on
+    cols, rest = _laplace_table(m, k)
+    W = np.zeros((len(K), math.comb(m, k - 1), m), dtype=K.dtype)
+    for t in range(k):
+        W[:, rest[t], cols[t]] = (-1) ** t * K
+    J = rest[:, (K != 0).argmax(axis=1)].T
+    entries = (W[np.arange(len(K))[:, None], J]
+               * (-1) ** np.arange(k)[:, None] % p)
     # each (flat, row) pair once, by flat, then by first sight
     codes, seen = np.unique((group[:, None] * n + S).ravel(),
                             return_index=True)
     codes = codes[np.lexsort((seen, codes // n))]
     sizes = np.bincount(codes // n)
-    return K[lead].ravel().tolist(), (codes % n).tolist(), sizes.tolist()
+    return entries.ravel().tolist(), (codes % n).tolist(), sizes.tolist()
 
 
 def spanned_flats(points, k):
@@ -199,6 +248,8 @@ def spanned_flats(points, k):
     if len(points) < k:
         return {}
     _check_common(points)
+    if k > len(points[0].coords):   # no k x k minors: no subset has rank k
+        return {}
     p = points[0].p
     coords = np.array([q.coords for q in points], dtype=np.int64)
     entries, on, sizes = _group_subsets(coords, k, p)

@@ -12,8 +12,9 @@ import numpy as np
 
 from geproci.combinat import _collinear_triples
 from geproci.ideals import ideal_dim
-from geproci.linalg import kernel_basis
-from geproci.projgeom import (ProjPoint, project_general, random_point,
+from geproci.ideals import monomials
+from geproci.linalg import kernel_basis, rref_stack
+from geproci.projgeom import (Flat, ProjPoint, project_general, random_point,
                               spanned_flats)
 
 
@@ -288,3 +289,52 @@ def brianchon_by_pairs(points):
             return (tuple(six[i] for i in tri),
                     tuple(six[i] for i in sorted(rest)))
     return None
+
+
+def spanned_flats_by_elimination(points, k, chunk=512):
+    """spanned_flats keyed by echelon forms: every k-subset is reduced by
+    rref_stack (chunk at a time), the rank-k ones are grouped by their
+    echelon rows with one stable lexsort, and the flats and their members
+    are built in the order of their first subsets."""
+    p = points[0].p
+    coords = np.array([q.coords for q in points], dtype=np.int64)
+    combos = itertools.combinations(range(len(points)), k)
+    keys, subsets = [], []
+    while batch := list(itertools.islice(combos, chunk)):
+        idx = np.array(batch)
+        R, ranks = rref_stack(coords[idx], p)
+        keys.append(R[ranks == k].reshape(-1, R[0].size))
+        subsets.append(idx[ranks == k])
+    K, S = np.concatenate(keys), np.concatenate(subsets)
+    order = np.lexsort(K.T[::-1])
+    Ks = K[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (Ks[1:] != Ks[:-1]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    out = {}
+    for i, f in enumerate(first.tolist()):
+        basis = tuple(map(tuple, K[f].reshape(k, -1).tolist()))
+        out.setdefault(basis, set()).update(points[j] for j in S[i])
+    return {Flat(b, p): frozenset(v) for b, v in out.items()}
+
+
+def fat_rows_by_entries(coords, mult, exps, p):
+    """Rows of a point of multiplicity mult, entry by entry: (d/dx)^m
+    applied to each monomial x^M and evaluated at the point, for every m
+    of degree mult - 1."""
+    rows = []
+    for m_exp in monomials(len(coords), mult - 1):
+        row = []
+        for M_exp in exps:
+            val = 1
+            for a, b, c in zip(m_exp, M_exp, coords):
+                if a > b:
+                    val = 0
+                    break
+                for j in range(a):   # falling factorial b (b-1) ... (b-a+1)
+                    val = val * (b - j) % p
+                val = val * pow(int(c), b - a, p) % p
+            row.append(val)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)

@@ -27,7 +27,7 @@ from geproci.ideals import (
 )
 from geproci.projgeom import ProjPoint, segre
 
-from oracles import eval_monomial
+from oracles import eval_monomial, fat_rows_by_entries
 
 P = 1073741827
 
@@ -118,6 +118,27 @@ def test_fat_point_conditions():
     q = pt(1, 2, 3)
     M = interp_matrix([(q, 2)], 2, P)
     assert linalg.rank(M, P) == 3
+
+
+@pytest.mark.parametrize("p", [7, P])
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_fat_point_rows_match_entrywise_oracle(p, nvars):
+    rng = random.Random(p * nvars)
+    for mult in (2, 3, 4):
+        for t in range(1, 7):
+            # points with zero coordinates too, where 0**0 = 1 matters
+            coords = [rng.choice([0, 1, rng.randrange(p)])
+                      for _ in range(nvars)]
+            if not any(coords):
+                coords[0] = 1
+            q = ProjPoint.make(coords, p)
+            simple = ProjPoint.make([rng.randrange(1, p)
+                                     for _ in range(nvars)], p)
+            M = interp_matrix([(simple, 1), (q, mult)], t, p)
+            want = fat_rows_by_entries(q.coords, mult,
+                                       monomials(nvars, t), p)
+            assert M.dtype == np.int64
+            assert np.array_equal(M[1:], want), (mult, t, q)
 
 
 def test_multiplicity_weight():

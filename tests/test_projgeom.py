@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geproci import projgeom
+from geproci import configs, linalg, projgeom
+from geproci.combinat import line_census, plane_census
 from geproci.field import make_field, order_constraint
 from geproci.projgeom import (
     CollisionDetected,
@@ -27,7 +29,7 @@ from geproci.projgeom import (
     spanned_flats,
 )
 
-from oracles import collinear
+from oracles import collinear, spanned_flats_by_elimination
 
 P = 1073741827
 
@@ -199,21 +201,24 @@ def test_line_through_contains_both():
 
 @st.composite
 def _point_sets(draw):
-    """(points, k, chunk): distinct points of P^2 or P^3 over F_7 or the
-    default prime, drawn as a mix of collinear and coplanar clusters and
-    scattered points, with a subset chunk size that often splits the
-    subsets over several batched eliminations."""
+    """(points, k, chunk): distinct points of P^2 ... P^7 over F_7 or the
+    default prime, drawn as a mix of clusters on lines, planes and solids
+    and scattered points, with k from 2 to 4 (in P^4 and up, more k x k
+    minors than echelon entries) and a subset chunk size that often splits
+    the subsets over several batches."""
     p = draw(st.sampled_from([7, P]))
-    nvars = draw(st.sampled_from([3, 4]))
+    nvars = draw(st.integers(3, 8))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def vec():
         return [rng.randrange(p) for _ in range(nvars)]
 
     vecs = []
-    for kind in draw(st.lists(st.sampled_from(["line", "plane", "point"]),
+    for kind in draw(st.lists(st.sampled_from(["line", "plane", "solid",
+                                               "point"]),
                               min_size=1, max_size=4)):
-        basis = [vec() for _ in range({"line": 2, "plane": 3}.get(kind, 1))]
+        basis = [vec() for _ in range({"line": 2, "plane": 3,
+                                       "solid": 4}.get(kind, 1))]
         for _ in range(rng.randrange(1, 6) if kind != "point" else 1):
             c = [rng.randrange(p) for _ in basis]
             vecs.append([sum(a * b[j] for a, b in zip(c, basis))
@@ -222,7 +227,7 @@ def _point_sets(draw):
     for v in vecs:
         if any(x % p for x in v) and ProjPoint.make(v, p) not in points:
             points.append(ProjPoint.make(v, p))
-    k = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from([2, 3, 4]))
     chunk = draw(st.sampled_from([1, 4, 37, projgeom.SUBSET_CHUNK]))
     return points, k, chunk
 
@@ -247,3 +252,58 @@ def test_spanned_flats_match_grouping_by_flat_through(case):
     assert list(got.items()) == list(want.items())
     for v, w in zip(got.values(), want.values()):
         assert list(v) == list(w)
+
+
+@pytest.mark.parametrize("points,k", [
+    ([pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(1, 1, 0, 0), pt(1, 2, 0, 0)], 3),
+    ([pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0), pt(1, 1, 1, 0)], 4),
+    ([ProjPoint.make(v, 7) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                     [1, 1, 1], [1, 2, 3])], 4),
+], ids=["collinear-planes", "coplanar-solids", "P2-solids"])
+def test_spanned_flats_without_rank_k_subsets_are_empty(points, k):
+    assert spanned_flats(points, k) == {}
+
+
+_CORPUS = [("d4", 2), ("f4", 2), ("penrose", 2), ("h4", 2), ("e8", 2),
+           ("points120", 2), ("z1", 3), ("z2", 3), ("z3", 3)]
+
+
+@pytest.mark.parametrize("label,k", _CORPUS,
+                         ids=[f"{label}-{k}" for label, k in _CORPUS])
+def test_spanned_flats_match_elimination_oracle(label, k):
+    points = configs.named(label).points
+    got = spanned_flats(points, k)
+    want = spanned_flats_by_elimination(points, k)
+    # same flats in the same order, same members in the same order
+    assert list(got.items()) == list(want.items())
+    for v, w in zip(got.values(), want.values()):
+        assert list(v) == list(w)
+
+
+def test_censuses_run_without_elimination():
+    # the keys and echelon forms come from minors alone
+    boom = mock.Mock(side_effect=AssertionError("elimination called"))
+    with mock.patch.object(linalg, "rref_stack", boom), \
+            mock.patch.object(linalg, "_eliminate", boom):
+        assert line_census(configs.named("d4")).histogram == {2: 18, 3: 16}
+        assert (plane_census(configs.named("z1")).histogram
+                == {3: 366, 4: 168, 5: 30, 10: 30})
+    assert not boom.called
+
+
+# tracemalloc peak of spanned_flats(points120, 3) with the echelon-keyed
+# grouping (subsets reduced by rref_stack), Python 3.11, numpy 2.4
+ELIMINATION_PEAK = 66_364_166
+
+
+def test_plane_flats_of_points120_stay_below_elimination_peak():
+    points = configs.named("points120").points
+    spanned_flats(points[:10], 3)   # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        flats = spanned_flats(points, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flats) == 27000
+    assert peak < ELIMINATION_PEAK
