@@ -251,6 +251,18 @@ def _cmd_suite(args):
     return 0 if ok else 1
 
 
+def _int_at_least(low):
+    """argparse type: an int no smaller than low; argparse names the flag
+    in its message and main turns the usage error into exit code 3."""
+    def integer(text):
+        val = int(text)
+        if val < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {val}")
+        return val
+    return integer
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="geproci")
     ap.add_argument("--json", action="store_true",
@@ -297,8 +309,8 @@ def build_parser():
 
     u = sub.add_parser("unexpected", help="cone dimension counts")
     u.add_argument("what", choices=["adim", "vdim", "c"])
-    u.add_argument("-t", type=int, required=True)
-    u.add_argument("-m", type=int, default=None)
+    u.add_argument("-t", type=_int_at_least(0), required=True)
+    u.add_argument("-m", type=_int_at_least(1), default=None)
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("file")
     u.set_defaults(fn=_cmd_unexpected)

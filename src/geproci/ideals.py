@@ -66,18 +66,17 @@ def _power_rows(coords, exps, p):
     return rows
 
 
-def _fat_rows(coords, mult, exps, p):
-    """Rows of a point of multiplicity mult: for each derivative
-    (d/dx)^m with |m| = mult - 1, its values on the monomials x^M at the
-    point, prod_j M_j!/(M_j - m_j)! c_j^(M_j - m_j). One power table on
-    the clipped differences M - m gives the powers; the falling factorial
-    of M_j < m_j is zero, which masks out the monomials m does not
-    divide."""
-    m = np.array(monomials(len(coords), mult - 1), dtype=np.int64)
+def _fat_rows(coords, order, exps, p):
+    """Rows of a fat point: for each derivative (d/dx)^m with |m| = order,
+    its values on the monomials x^M at the point, prod_j M_j!/(M_j - m_j)!
+    c_j^(M_j - m_j). One power table on the clipped differences M - m
+    gives the powers; the falling factorial of M_j < m_j is zero, which
+    masks out the monomials m does not divide."""
+    m = np.array(monomials(len(coords), order), dtype=np.int64)
     E = np.asarray(exps, dtype=np.int64)
     rows = _power_rows([coords], np.maximum(E - m[:, None], 0)
                        .reshape(-1, E.shape[1]), p).reshape(len(m), len(E))
-    ff = np.array([[math.perm(e, a) % p for a in range(mult)]
+    ff = np.array([[math.perm(e, a) % p for a in range(order + 1)]
                    for e in range(int(E.max()) + 1)], dtype=np.int64)
     for j in range(E.shape[1]):
         rows *= ff[E[:, j], m[:, j, None]]
@@ -89,9 +88,13 @@ def interp_matrix(scheme, t: int, p: int):
     """Evaluation matrix whose kernel is the degree-t piece of the ideal.
 
     scheme: list of (ProjPoint, multiplicity). A point of multiplicity s
-    contributes one row per monomial of degree s-1 in the ambient
-    variables, holding the corresponding partial derivatives of the
-    degree-t monomials at the point.
+    contributes one row per monomial of degree min(s - 1, t) in the
+    ambient variables, holding the corresponding partial derivatives of
+    the degree-t monomials at the point. By Euler's formula the
+    derivatives of order s - 1 vanish at a point exactly when all lower
+    ones do, while s - 1 <= t. Beyond that a degree-t form vanishing to
+    order s is zero, and the order-t derivatives, constants times its
+    coefficients, say so.
     """
     if not scheme:
         raise ValueError("empty scheme")
@@ -112,7 +115,7 @@ def interp_matrix(scheme, t: int, p: int):
             continue
         if p <= mult:
             raise CharTooSmall(f"need p > multiplicity {mult}")
-        rows.extend(_fat_rows(pt.coords, mult, cols, p))
+        rows.extend(_fat_rows(pt.coords, min(mult - 1, t), cols, p))
     return np.stack(rows)
 
 
@@ -174,26 +177,70 @@ def hilbert_h_vector(points, p):
 def deletion_h_vectors(points, p):
     """(h-vector of the points, [h-vector with point i deleted for each i]).
 
-    One evaluation matrix M_t and its left kernel K per degree serve every
-    deletion: rank M_t = n - dim K, and deleting row i keeps that rank
-    exactly when some vector of K is nonzero at i, else lowers it by one.
+    Let M_t be the degree-t evaluation matrix (a row per point) and V_t
+    its column space in F_p^n. Then rank M_t = dim V_t, and deleting row i
+    keeps that rank exactly when e_i is not in V_t, else lowers it by one.
+
+    One basis serves every degree. Each point is rescaled so that a fixed
+    linear form l = sum_j c^j x_j is 1 on it, for the first c that makes l
+    nonzero at every point (each point rules out at most nvars - 1 values
+    of c). Rescaling row i of every M_t by a nonzero lambda_i^t changes no
+    rank, with or without row i. Once l is 1 on the points, f -> l f shows
+    V_t inside V_{t+1}. So a reduced basis of V_t, with its pivots, grows
+    into one of V_{t+1}: the degree-(t+1) evaluation vectors are reduced
+    against it by one exact product, only the residual is eliminated, its
+    new pivot columns are cleared from the basis, and its rows join it.
+    The basis is the identity on its pivot columns, so B keeps only the
+    other columns, and e_i is in V_t exactly when i is a pivot whose row
+    is zero in B. Degrees run until V_t is all of F_p^n, when every
+    deletion saturates too, or, for repeated points, up to the last
+    degree _h_vector reads.
     """
     n = len(points)
-    ranks = []   # per degree: (rank M_t, [rank of M_t without row i])
+    nvars = points[0].ambient_dim + 1
+    coords = [q.coords for q in points]
+    for c in range(n * (nvars - 1) + 1):
+        ell = form_values([pow(c, j, p) for j in range(nvars)],
+                          monomials(nvars, 1), coords, p)
+        if ell.all():
+            break
+    else:
+        raise ValueError(f"no linear form sum c^j x_j is nonzero at all "
+                         f"{n} points over F_{p}")
+    coords = [[x * pow(int(v), -1, p) % p for x in P]
+              for P, v in zip(coords, ell.tolist())]
+    piv, free = np.zeros(0, dtype=np.intp), np.arange(n)
+    B = np.zeros((0, n), dtype=np.int64)
+    ranks, in_V = [], []
+    while not ranks or (ranks[-1] < n and len(ranks) <= n + 1):
+        X = _power_rows(coords, monomials(nvars, len(ranks)), p)
+        Y = X[free].T.copy()
+        linalg.sub_mat_mul(Y, X[piv].T, B, p)
+        R, new = linalg.rref(Y[Y.any(axis=1)], p)
+        R = R[:len(new)]
+        linalg.sub_mat_mul(B, B[:, new], R, p)
+        keep = np.ones(len(free), dtype=bool)
+        keep[new] = False
+        B = np.concatenate([B, R])[:, keep]
+        piv, free = np.concatenate([piv, free[new]]), free[keep]
+        ranks.append(len(piv))
+        in_V.append(np.zeros(n, dtype=bool))
+        in_V[-1][piv[~B.any(axis=1)]] = True
+    r = np.array(ranks)[:, None]
+    return (_h_vectors(r, n)[0],
+            _h_vectors((r - np.array(in_V))[:n + 1], n - 1))
 
-    def level(t):
-        while len(ranks) <= t:
-            M = interp_matrix(simple_scheme(points), len(ranks), p)
-            K = linalg.kernel_basis(M.T, p)
-            r = n - len(K)
-            kept = np.any(K, axis=0) if K else np.zeros(n, dtype=bool)
-            ranks.append((r, (r - 1 + kept).tolist()))
-        return ranks[t]
 
-    full = _h_vector(lambda t: level(t)[0], n)
-    dropped = [_h_vector(lambda t, i=i: level(t)[1][i], n - 1)
-               for i in range(n)]
-    return full, dropped
+def _h_vectors(hf, n_pts):
+    """_h_vector of every column of a table hf[t, i] of Hilbert function
+    values of n_pts points, which runs to saturation or to degree
+    n_pts + 1."""
+    if n_pts == 0:
+        return [()] * hf.shape[1]
+    sat = hf >= n_pts
+    stop = np.where(sat.any(axis=0), sat.argmax(axis=0), len(hf) - 1)
+    h = np.diff(hf, axis=0, prepend=0)
+    return [tuple(h[:s + 1, i].tolist()) for i, s in enumerate(stop.tolist())]
 
 
 def macaulay_matrix(points, d: int, Q_coords, p):

@@ -18,6 +18,7 @@ import numpy as np
 MAX_INNER_DIM = 2 ** 16   # largest inner dimension mat_mul keeps exact
 PANEL = 64                # columns per panel of the blocked LU in _eliminate
 STRIP = 128               # rows per exact product of its trailing update
+LIMB_CHUNK = 2 ** 8       # inner terms per exact float64 limb product
 
 
 class NotSquare(ValueError):
@@ -135,7 +136,7 @@ def _sub_product(T, L, hi, lo, p):
     term of either float64 product has |l * limb| <= 2**45 and a sum of
     k <= 2**8 terms stays within 2**53: every partial sum is an integer
     that float64 holds exactly, whatever order BLAS adds in. PANEL keeps
-    k <= 64. The sums are reduced as int64, where % is far cheaper than
+    k <= 64; sub_mat_mul cuts longer sums into LIMB_CHUNK = 2**8. The sums are reduced as int64, where % is far cheaper than
     on float64; T - (hi-sum mod p) * 2**16 - lo-sum stays below 2**54.
     """
     Lf = np.where(L > p // 2, L - p, L).astype(np.float64)
@@ -148,6 +149,15 @@ def _sub_product(T, L, hi, lo, p):
     np.copyto(h, f, casting="unsafe")
     T -= h
     T %= p
+
+
+def sub_mat_mul(T, L, U, p):
+    """T <- (T - L @ U) mod p, exactly and in place, for entries in [0, p)
+    and any inner dimension: one _sub_product per LIMB_CHUNK columns of L,
+    the most terms its float64 sums hold exactly."""
+    for k in range(0, L.shape[1], LIMB_CHUNK):
+        hi, lo = _limbs(U[k:k + LIMB_CHUNK], p)
+        _sub_product(T, L[:, k:k + LIMB_CHUNK], hi, lo, p)
 
 
 def rref(M, p):

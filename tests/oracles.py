@@ -11,8 +11,8 @@ import random
 import numpy as np
 
 from geproci.combinat import _collinear_triples
-from geproci.ideals import ideal_dim
-from geproci.ideals import monomials
+from geproci.ideals import (_h_vector, ideal_dim, interp_matrix, monomials,
+                            simple_scheme)
 from geproci.linalg import kernel_basis, rref_stack
 from geproci.projgeom import (Flat, ProjPoint, project_general, random_point,
                               spanned_flats)
@@ -319,12 +319,34 @@ def spanned_flats_by_elimination(points, k, chunk=512):
     return {Flat(b, p): frozenset(v) for b, v in out.items()}
 
 
+def deletion_h_vectors_by_kernels(points, p):
+    """deletion_h_vectors with one evaluation matrix M_t and one left kernel
+    K per degree: rank M_t = n - dim K, and deleting row i keeps that rank
+    exactly when some vector of K is nonzero at i, else lowers it by one."""
+    n = len(points)
+    ranks = []   # per degree: (rank M_t, [rank of M_t without row i])
+
+    def level(t):
+        while len(ranks) <= t:
+            M = interp_matrix(simple_scheme(points), len(ranks), p)
+            K = kernel_basis(M.T, p)
+            r = n - len(K)
+            kept = np.any(K, axis=0) if K else np.zeros(n, dtype=bool)
+            ranks.append((r, (r - 1 + kept).tolist()))
+        return ranks[t]
+
+    full = _h_vector(lambda t: level(t)[0], n)
+    dropped = [_h_vector(lambda t, i=i: level(t)[1][i], n - 1)
+               for i in range(n)]
+    return full, dropped
+
+
 def fat_rows_by_entries(coords, mult, exps, p):
     """Rows of a point of multiplicity mult, entry by entry: (d/dx)^m
     applied to each monomial x^M and evaluated at the point, for every m
-    of degree mult - 1."""
+    of degree min(mult - 1, t), t the degree of the monomials."""
     rows = []
-    for m_exp in monomials(len(coords), mult - 1):
+    for m_exp in monomials(len(coords), min(mult - 1, sum(exps[0]))):
         row = []
         for M_exp in exps:
             val = 1
@@ -337,4 +359,25 @@ def fat_rows_by_entries(coords, mult, exps, p):
                 val = val * pow(int(c), b - a, p) % p
             row.append(val)
         rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def fat_conditions_by_lines(coords, mult, t, p, rng):
+    """Linear conditions on the coefficients of a degree-t form F for
+    vanishing to order mult at the point, read off lines through it: for
+    random directions D, the coefficients of s^0 ... s^(mult-1) of
+    F(P + s D), interpolated from the values at s = 1 ... t + 1 as
+    verify_skeleton_T measures the order at Q. A polynomial in s of
+    degree t has no coefficient past s^t."""
+    n = len(coords)
+    exps = monomials(n, t)
+    order = min(mult, t + 1)
+    xs = list(range(1, t + 2))
+    rows = []
+    for _ in range(math.comb(order - 1 + n - 1, n - 1) + 2):
+        D = [rng.randrange(p) for _ in range(n)]
+        coef = [solve_vandermonde(xs, [eval_monomial(
+                    [c + s * d for c, d in zip(coords, D)], e, p)
+                    for s in xs], p) for e in exps]
+        rows.extend([cf[j] for cf in coef] for j in range(order))
     return np.array(rows, dtype=np.int64)

@@ -194,6 +194,35 @@ def test_unexpected_adim_needs_m(d4_file, capsys):
     assert json.loads(out)["data"]["adim"] == 1
 
 
+@pytest.fixture
+def four_points_file(tmp_path):
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "points": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("t,m", [(3, 5), (2, 4)])
+def test_unexpected_adim_multiplicity_above_t_plus_one(four_points_file,
+                                                       capsys, t, m):
+    # a nonzero form of degree t has multiplicity at most t at any point
+    code, out = run(capsys, "--json", "unexpected", "adim", "-t", t,
+                    "-m", m, four_points_file)
+    assert code == 0
+    assert json.loads(out)["data"]["adim"] == 0
+
+
+@pytest.mark.parametrize("what", ["adim", "vdim", "c"])
+@pytest.mark.parametrize("flags,named", [(("-t", "-1", "-m", "2"), "-t"),
+                                         (("-t", "2", "-m", "0"), "-m")])
+def test_unexpected_rejects_bad_t_and_m(four_points_file, capsys, what,
+                                        flags, named):
+    code = main(["unexpected", what, *flags, four_points_file])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"argument {named}: must be at least" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # ks, cbp, remember, equiv
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geproci import linalg
+from geproci import configs, linalg
 from geproci.field import make_field
 from geproci.ideals import (
     CharTooSmall,
@@ -25,9 +25,11 @@ from geproci.ideals import (
     num_monomials,
     simple_scheme,
 )
-from geproci.projgeom import ProjPoint, segre
+from geproci.projgeom import ProjPoint, project_general, segre
 
-from oracles import eval_monomial, fat_rows_by_entries
+from oracles import (deletion_h_vectors_by_kernels, eval_monomial,
+                     fat_conditions_by_lines, fat_rows_by_entries,
+                     rank_det_by_columns)
 
 P = 1073741827
 
@@ -141,6 +143,23 @@ def test_fat_point_rows_match_entrywise_oracle(p, nvars):
             assert np.array_equal(M[1:], want), (mult, t, q)
 
 
+@pytest.mark.parametrize("nvars,degrees", [(3, (1, 2, 3, 4)), (4, (1, 2, 3))])
+def test_fat_point_conditions_match_line_restriction(nvars, degrees):
+    # multiplicities up to t + 3: above t + 1 a fat point leaves no form
+    rng = random.Random(29 + nvars)
+    q = rand_pt(rng, nvars)
+    for t in degrees:
+        for s in range(1, t + 4):
+            M = interp_matrix([(q, s)], t, P)
+            L = fat_conditions_by_lines(q.coords, s, t, P, rng)
+            r = rank_det_by_columns(M, P)[0]
+            assert r == rank_det_by_columns(L, P)[0], (t, s)
+            assert r == rank_det_by_columns(np.vstack([M, L]), P)[0], (t, s)
+            want = num_monomials(nvars, t) if s > t else math.comb(
+                s - 1 + nvars - 1, nvars - 1)
+            assert r == want, (t, s)
+
+
 def test_multiplicity_weight():
     assert multiplicity_weight((3, 0, 0, 0)) == 6
     assert multiplicity_weight((1, 1, 1, 0)) == 1
@@ -246,7 +265,7 @@ def test_generated_to_next_degree_general_points():
 
 
 # ---------------------------------------------------------------------------
-# one-point deletions from one elimination per degree
+# one-point deletions from one nested elimination across degrees
 
 def _assert_deletions_match_brute_force(pts):
     full, dropped = deletion_h_vectors(pts, P)
@@ -288,3 +307,49 @@ def test_deletion_h_vectors_agree_with_brute_force(ambient, rows):
     pts = [pt(*row[:ambient + 1]) for row in rows if any(row[:ambient + 1])]
     if pts:
         _assert_deletions_match_brute_force(pts)
+
+
+def _deletion_cases():
+    rng = random.Random(37)
+    # x0 vanishes at some points, so the linear form l = sum c^j x_j is
+    # found past c = 0; on the second set x0 + x1 + x2 vanishes too
+    yield "coordinate points and [1:1:1]", [
+        pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1)]
+    yield "l needs c = 2", [pt(1, -1, 0), pt(0, 1, -1), pt(1, 0, -1),
+                            pt(1, 0, 0), pt(1, 2, 3)]
+    yield "collinear in P3", [pt(1, k, 2 * k, 0) for k in range(5)]
+    yield "coplanar in P3", [pt(1, a, b, 0) for a in range(3)
+                             for b in range(3)] + [rand_pt(rng, 4)]
+    for label in ("klein", "h4"):
+        pts = configs.named(label).points
+        images = project_general(pts, random.Random(repr((1, "geprocb"))))
+        yield f"{label} image at seed 1", images
+
+
+@pytest.mark.parametrize("label,pts", list(_deletion_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_deletion_h_vectors_match_per_degree_kernels(label, pts):
+    p = pts[0].p
+    assert deletion_h_vectors(pts, p) == deletion_h_vectors_by_kernels(pts, p)
+
+
+def test_deletion_h_vectors_run_no_kernel_and_one_pivot_per_point(
+        monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("deletion_h_vectors called kernel_basis")
+
+    pivots = []
+    rref = linalg.rref
+
+    def counting_rref(M, p):
+        R, piv = rref(M, p)
+        pivots.extend(piv)
+        return R, piv
+
+    pts = configs.named("klein").points
+    images = project_general(pts, random.Random(repr((1, "geprocb"))))
+    monkeypatch.setattr(linalg, "kernel_basis", no_kernel)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    full, dropped = deletion_h_vectors(images, pts[0].p)
+    # the eliminations' pivots are the 60 rows of the final basis
+    assert sum(full) == len(images) == len(pivots) == 60

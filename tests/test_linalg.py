@@ -248,6 +248,22 @@ def test_trailing_product_exact_at_its_bound():
     assert T.tolist() == want.tolist()
 
 
+def test_sub_mat_mul_chunks_a_long_inner_dimension():
+    # 600 > 2**8 terms near the limbs' extremes: one float64 product over
+    # all of them would pass 2**53, so only the chunks keep it exact
+    p, k = P31, 600
+    rng = np.random.default_rng(5)
+    lo_limbs = rng.integers(-2**15, -2**14, k)
+    U = ((1 - 2**14) * 2**16 + lo_limbs + p)[:, None] * np.ones(3, np.int64)
+    U[:, 2] = rng.integers(0, p, k)
+    L = np.array([[(p + 1) // 2] * k, rng.integers(0, p, k)],
+                 dtype=np.int64)
+    T = np.array([[0, 1, p - 1], [5, 0, 7]], dtype=np.int64)
+    want = (T - mat_mul(L, U, p)) % p
+    linalg.sub_mat_mul(T, L, U, p)
+    assert T.tolist() == want.tolist()
+
+
 def test_rank_memory_stays_within_twice_the_input():
     # rank works in place on its one reduced copy; the trailing update
     # goes in strips, so no second full-size array is made

@@ -2,8 +2,9 @@
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_9.json
 
-Run from the root of the repository. The parent revision is checked out
-with `git worktree add` into a temporary directory (removed at the end).
+Run from the root of the repository. The parent revision is unpacked
+with `git archive` into a temporary directory (removed at the end; set
+TMPDIR to choose where).
 For every workload of BENCHMARK.json and each of ten fixed seeds,
 `bench/run.py` runs once in each tree for the benchmark's run length, the
 tree that goes first alternating from pair to pair, so slow drift of the
@@ -30,19 +31,23 @@ def git(*args, cwd=ROOT, env=None):
                           capture_output=True, text=True).stdout.strip()
 
 
-def src_tree(root):
+def src_tree():
     """Tree id of src/ as it is on disk, untracked files included, built
     in a throwaway index so the real one is not touched."""
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
-        git("add", "-A", "src", cwd=root, env=env)
-        return git("write-tree", "--prefix=src/", cwd=root, env=env)
+        git("add", "-A", "src", env=env)
+        return git("write-tree", "--prefix=src/", env=env)
 
 
-def revision(root):
-    return {"commit": git("rev-parse", "HEAD", cwd=root),
-            "src_tree": src_tree(root),
-            "dirty": bool(git("status", "--porcelain", "src", cwd=root))}
+def revision(rev=None):
+    """Commit and src/ tree of a revision, or of the working tree as it is
+    on disk when rev is None."""
+    if rev is not None:
+        return {"commit": git("rev-parse", "--verify", f"{rev}^{{commit}}"),
+                "src_tree": git("rev-parse", f"{rev}:src"), "dirty": False}
+    return {"commit": git("rev-parse", "HEAD"), "src_tree": src_tree(),
+            "dirty": bool(git("status", "--porcelain", "src"))}
 
 
 def run_bench(root, workload, seed, seconds):
@@ -88,27 +93,27 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_root = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_root), args.parent)
-        try:
-            roots = {"parent": parent_root, "change": ROOT}
-            revisions = {k: revision(r) for k, r in roots.items()}
-            runs, machine = {}, None
-            for workload in workloads:
-                runs[workload] = {"parent": [], "change": []}
-                for k, seed in enumerate(SEEDS):
-                    order = ("parent", "change")[::1 if k % 2 == 0 else -1]
-                    for side in order:
-                        machine, result = run_bench(roots[side], workload,
-                                                    seed, seconds)
-                        runs[workload][side].append(
-                            {"seed": seed, "ran_first": side == order[0],
-                             **result})
-                        print(f"{workload} seed {seed} {side}: pass_s "
-                              f"{result['metrics']['pass_s']['value']:.4g} "
-                              f"correct {result['correct']}",
-                              file=sys.stderr)
-        finally:
-            git("worktree", "remove", "--force", str(parent_root))
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive,
+                       check=True)
+        roots = {"parent": parent_root, "change": ROOT}
+        revisions = {"parent": revision(args.parent), "change": revision()}
+        runs, machine = {}, None
+        for workload in workloads:
+            runs[workload] = {"parent": [], "change": []}
+            for k, seed in enumerate(SEEDS):
+                order = ("parent", "change")[::1 if k % 2 == 0 else -1]
+                for side in order:
+                    machine, result = run_bench(roots[side], workload,
+                                                seed, seconds)
+                    runs[workload][side].append(
+                        {"seed": seed, "ran_first": side == order[0],
+                         **result})
+                    print(f"{workload} seed {seed} {side}: pass_s "
+                          f"{result['metrics']['pass_s']['value']:.4g} "
+                          f"correct {result['correct']}", file=sys.stderr)
     doc = {
         "what": "bench/run.py result objects for the parent and the "
                 "working tree, run in alternating pairs on one machine "
