@@ -137,8 +137,9 @@ def is_geproci(points, a, b, trials=2, seed=0, prime=None) -> Decision:
         except CollisionDetected:
             data["dims"].append("collision")
             continue
-        dim_a = ideal_dim(images, a, p)
-        dim_b = ideal_dim(images, b, p)
+        kernel_a = ideal_kernel(images, a, p)
+        kernel_b = kernel_a if a == b else ideal_kernel(images, b, p)
+        dim_a, dim_b = len(kernel_a), len(kernel_b)
         data["dims"].append([dim_a, dim_b])
         if dim_a < expect_a or dim_b < expect_b:
             dec.verdict = NO
@@ -146,14 +147,11 @@ def is_geproci(points, a, b, trials=2, seed=0, prime=None) -> Decision:
             return dec
         if dim_a > expect_a or dim_b > expect_b:
             continue
-        kernel_a = ideal_kernel(images, a, p)
+        F = kernel_a[0]
         if a == b:
-            F, others = kernel_a[0], kernel_a[1:]
-            candidates = others
+            candidates = kernel_a[1:]
         else:
-            F = kernel_a[0]
             span_rows = _multiples_span(F, a, b, p)
-            kernel_b = ideal_kernel(images, b, p)
             candidates = _complement_candidates(kernel_b, span_rows, p, rng)
         trial_seed = rng.randrange(1 << 30)
         if any(coprime_plane_curves(F, G, a, b, p, seed=trial_seed)

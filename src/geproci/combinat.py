@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .projgeom import points_of_rows, spanned_flats
+from .projgeom import _minors, points_of_rows, spanned_flats
 
 
 class NotA33Grid(ValueError):
@@ -71,21 +70,22 @@ def brianchon_points(Z):
     B = np.array([f.basis for f in members if len(members[f]) == 2])
     pairs = list(itertools.combinations(range(len(B)), 2))
     i, j = np.array(pairs).T
-    # every pair's [B_i^T | B_j^T] in one stack: B_i's independent rows
-    # make columns 0 and 1 pivots. Two distinct lines that meet give rank
-    # 3 and meet in R[0, c] B_i[0] + R[1, c] B_i[1], c the free column
-    # (the kernel is spanned by e_c - R[:, c] on the pivots); skew lines
-    # give rank 4, where R[:2, 2:] is zero and so is that combination
-    R, _ = linalg.rref_stack(np.concatenate([B[i], B[j]], axis=1)
-                             .transpose(0, 2, 1), p)
-    c = np.where(R[:, 2, 2] != 0, 3, 2)
-    a = R[np.arange(len(R)), :2, c]
-    V = (a[:, :1] * B[i, 0] % p + a[:, 1:] * B[i, 1] % p) % p
-    meet = V.any(axis=1)
+    # lines (a, b) and (c, d) meet at x_0 a + x_1 b = -(x_2 c + x_3 d),
+    # x a nonzero row of adj([a; b; c; d]). Row k has x_0 = +-m0[k] and
+    # x_1 = -+m1[k], the minors of [b; c; d] and [a; c; d] without column
+    # k, and is nonzero exactly when they are not both zero (c and d are
+    # independent). Skew lines have det = sum (-1)**k a[k] m0[k] != 0
+    a, b, cd = B[i, 0], B[i, 1], B[j]
+    m0 = _minors(np.concatenate([b[:, None], cd], axis=1), p)[:, ::-1]
+    m1 = _minors(np.concatenate([a[:, None], cd], axis=1), p)[:, ::-1]
+    meet = (a * m0 % p * (-1) ** np.arange(4)).sum(axis=1) % p == 0
+    k = ((m0 != 0) | (m1 != 0)).argmax(axis=1)[:, None]
+    V = (np.take_along_axis(m0, k, axis=1) * a % p
+         - np.take_along_axis(m1, k, axis=1) * b % p)[meet] % p
     grid_pts = set(points)
     conc = {}
     for pair, q in zip(itertools.compress(pairs, meet),
-                       points_of_rows(V[meet], p)):
+                       points_of_rows(V, p)):
         if q not in grid_pts:
             conc.setdefault(q, set()).update(pair)
     six = sorted((q for q, ls in conc.items() if len(ls) >= 3),

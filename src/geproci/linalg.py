@@ -1,12 +1,14 @@
 """Dense exact linear algebra mod p on numpy int64 arrays.
 
-All entries live in [0, p) with p < 2**31. The per-column elimination
-loop stays in int64: a product of two entries is below 2**62, and a
-single % p after each multiply keeps everything exact. The trailing
-update of the blocked LU behind rank and det multiplies through float64
-BLAS instead: balanced residues (|x| < 2**30) times signed 16-bit limbs
-give terms below 2**45, so a sum of up to 2**8 of them (the panel width
-PANEL = 64 bounds it) stays below 2**53, where float64 is exact.
+All entries live in [0, p) with p < 2**31. There is one elimination,
+the blocked LU of _eliminate: rank and det read their answers off it,
+and rref finishes it by back-substitution, which kernel_basis,
+inv_matrix and interpolate build on. Its per-column loop stays in int64:
+a product of two entries is below 2**62, and a single % p after each
+multiply keeps everything exact. Its trailing update multiplies through
+float64 BLAS instead: balanced residues (|x| < 2**30) times signed 16-bit
+limbs give terms below 2**45, so a sum of up to 2**8 of them (the panel
+width PANEL = 64 bounds it) stays below 2**53, where float64 is exact.
 Pivoting always takes the first nonzero entry in a column, which makes
 every result deterministic. rank takes a wide matrix on its short side:
 with more than PANEL columns and more columns than rows it eliminates
@@ -32,20 +34,20 @@ def as_matrix(rows, p):
     return A % p
 
 
-def _eliminate(A, p, reduced):
-    """In-place echelon reduction. Returns (pivot_cols, det_unit, sign).
+def _eliminate(A, p):
+    """In-place blocked LU. Returns (pivot_cols, det_unit, sign).
 
     det_unit is the product of the pivot values encountered (before row
     normalization); together with the swap sign it gives the determinant
     of a square matrix of full rank.
 
-    The reduced form is one pass of the per-column loop over all columns.
-    The unreduced form (rank, det) is a blocked LU: the loop runs on a
-    panel of PANEL columns and leaves each multiplier where it would have
-    written a zero, and _update_trailing then applies the panel's row
-    operations to the columns right of it. With cols <= PANEL this is the
-    loop alone. Pivot choices, and so every result, equal the unblocked
-    loop's; A itself then holds multipliers below its pivots.
+    The per-column loop runs on a panel of PANEL columns and leaves each
+    multiplier where it would have written a zero, and _update_trailing
+    then applies the panel's row operations to the columns right of it.
+    With cols <= PANEL this is the loop alone. Pivot choices equal the
+    unblocked loop's. Row i < len(pivot_cols) of A ends as the echelon
+    row U_i, normalised to 1 at pivot_cols[i]; left of that pivot, and
+    in the rows below the rank, A holds multipliers.
     """
     rows, cols = A.shape
     r = 0
@@ -53,9 +55,10 @@ def _eliminate(A, p, reduced):
     invs = []
     det_unit = 1
     sign = 1
-    c0 = 0
-    while c0 < cols and r < rows:
-        c1 = cols if reduced else min(c0 + PANEL, cols)
+    for c0 in range(0, cols, PANEL):
+        if r == rows:
+            break
+        c1 = min(c0 + PANEL, cols)
         r0 = r
         for c in range(c0, c1):
             if r == rows:
@@ -71,22 +74,15 @@ def _eliminate(A, p, reduced):
             det_unit = det_unit * piv % p
             inv = pow(piv, -1, p)
             A[r, c:c1] = A[r, c:c1] * inv % p
-            if reduced:
-                sel = np.nonzero(A[:, c])[0]
-                sel = sel[sel != r]
-                lo = c
-            else:
-                sel = nz[1:] + r
-                lo = c + 1
+            sel = nz[1:] + r
             if sel.size:
-                A[sel, lo:c1] = (A[sel, lo:c1]
-                                 - A[sel, c:c + 1] * A[r, lo:c1]) % p
+                A[sel, c + 1:c1] = (A[sel, c + 1:c1]
+                                    - A[sel, c:c + 1] * A[r, c + 1:c1]) % p
             pivots.append(c)
             invs.append(inv)
             r += 1
         if c1 < cols and r > r0:
             _update_trailing(A, p, r0, r, pivots[r0:], invs[r0:], c1)
-        c0 = c1
     return pivots, det_unit, sign
 
 
@@ -94,29 +90,47 @@ def _update_trailing(A, p, r0, r1, pcols, invs, c1):
     """Apply a panel's row operations to the columns c1: of A, in place.
 
     The panel left its pivot rows r0:r1 normalised only left of c1, and
-    the multiplier of row j for pivot i in A[j, pcols[i]]. A k-step
-    triangular solve finishes the pivot rows (U12); the rows below then
-    take A22 <- A22 - L21 U12 in strips of STRIP rows, each strip one
-    exact product (_sub_product), so no full-size temporary is made.
-    Rows whose multipliers are all zero are left alone, as the loop
-    leaves them; if every row is, the pivot rows are never read again.
+    the multiplier of row j for pivot i in A[j, pcols[i]]. A triangular
+    solve first finishes the pivot rows (U12), which rref reads even
+    when no row below needs an update. The rows below then take
+    A22 <- A22 - L21 U12 in strips of STRIP rows, each strip one exact
+    product (_sub_product), so no full-size temporary is made. Rows
+    whose multipliers are all zero are left alone, as the loop leaves
+    them.
     """
+    U = A[r0:r1, c1:]
+    _solve_pivot_rows(A, p, r0, pcols, invs, U)
     sel = r1 + np.flatnonzero(A[r1:, pcols].any(axis=1))
     if sel.size == 0:
         return
-    U = A[r0:r1, c1:]
-    for j, inv in enumerate(invs):
-        U[j] *= inv
-        U[j] %= p
-        below = U[j + 1:]
-        below -= A[r0 + j + 1:r1, pcols[j], None] * U[j]
-        below %= p
     hi, lo = _limbs(U, p)
     for s in range(0, sel.size, STRIP):
         rows = sel[s:s + STRIP]
         T = A[rows, c1:]
         _sub_product(T, A[rows[:, None], pcols], hi, lo, p)
         A[rows, c1:] = T
+
+
+def _solve_pivot_rows(A, p, r0, pcols, invs, U):
+    """U <- L11^-1 U in place: the panel loop's forward substitution on
+    the pivot rows r0:r0 + k, L11 their lower triangle on the columns
+    pcols (pivot values 1 / invs on the diagonal, multipliers below). By
+    recursive halving: the bottom half takes the solved top half in one
+    exact product, and only blocks of at most 8 rows run row by row."""
+    k = len(invs)
+    if k > 8:
+        h = k // 2
+        _solve_pivot_rows(A, p, r0, pcols[:h], invs[:h], U[:h])
+        hi, lo = _limbs(U[:h], p)
+        _sub_product(U[h:], A[r0 + h:r0 + k, pcols[:h]], hi, lo, p)
+        _solve_pivot_rows(A, p, r0 + h, pcols[h:], invs[h:], U[h:])
+        return
+    for j, inv in enumerate(invs):
+        U[j] *= inv
+        U[j] %= p
+        below = U[j + 1:]
+        below -= A[r0 + j + 1:r0 + k, pcols[j], None] * U[j]
+        below %= p
 
 
 def _limbs(U, p):
@@ -136,8 +150,9 @@ def _sub_product(T, L, hi, lo, p):
     term of either float64 product has |l * limb| <= 2**45 and a sum of
     k <= 2**8 terms stays within 2**53: every partial sum is an integer
     that float64 holds exactly, whatever order BLAS adds in. PANEL keeps
-    k <= 64; sub_mat_mul cuts longer sums into LIMB_CHUNK = 2**8. The sums are reduced as int64, where % is far cheaper than
-    on float64; T - (hi-sum mod p) * 2**16 - lo-sum stays below 2**54.
+    k <= 64; sub_mat_mul cuts longer sums into LIMB_CHUNK = 2**8. The
+    sums are reduced as int64, where % is far cheaper than on float64;
+    T - (hi-sum mod p) * 2**16 - lo-sum stays below 2**54.
     """
     Lf = np.where(L > p // 2, L - p, L).astype(np.float64)
     f = Lf @ hi
@@ -161,9 +176,25 @@ def sub_mat_mul(T, L, U, p):
 
 
 def rref(M, p):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    _eliminate leaves the echelon rows U = T R, T the unit upper
+    triangular block of U on the pivot columns. With the rows below the
+    rank and the multipliers left of each pivot cleared, R = T^-1 U
+    takes one row operation per pivot, bottom up, on the rows above it.
+    A reduced echelon form is unique, so R is the one the Gauss-Jordan
+    column loop gives.
+    """
     A = as_matrix(M, p)
-    pivots, _, _ = _eliminate(A, p, reduced=True)
+    pivots, _, _ = _eliminate(A, p)
+    k = len(pivots)
+    A[k:] = 0
+    A[:k][np.arange(A.shape[1]) < np.array(pivots)[:, None]] = 0
+    for i in range(k - 1, 0, -1):
+        c = pivots[i]
+        above = A[:i, c:]
+        above -= A[:i, c, None] * A[i, c:]
+        above %= p
     return A, pivots
 
 
@@ -181,42 +212,6 @@ def _inv_stack(x, p):
     return out
 
 
-def rref_stack(A, p):
-    """Reduced row echelon forms of an (N, k, m) stack of small matrices;
-    returns (R, ranks). Row i of item n is nonzero exactly for i < ranks[n].
-
-    The loop runs over the m columns, each step acting on all N items at
-    once. Rows are eliminated without division (row_j <- piv*row_j -
-    f*row_r, entries below p**2 < 2**62) and each pivot row is scaled by
-    one vectorised inverse at the end. Pivoting takes the first nonzero
-    entry, as in _eliminate, and a reduced echelon form is unique, so each
-    item equals rref of that item alone.
-    """
-    A = np.asarray(A, dtype=np.int64) % p
-    N, k, m = A.shape
-    ranks = np.zeros(N, dtype=np.int64)
-    if N == 0 or k == 0:
-        return A, ranks
-    items = np.arange(N)
-    rows = np.arange(k)
-    for c in range(m):
-        cand = (A[:, :, c] != 0) & (rows >= ranks[:, None])
-        has = cand.any(axis=1)
-        r = np.minimum(ranks, k - 1)
-        i = np.where(has, cand.argmax(axis=1), r)
-        top = A[items, i]
-        A[items, i] = A[items, r]
-        A[items, r] = top
-        f = np.where(has[:, None], A[:, :, c], 0)
-        f[items, r] = 0
-        piv = np.where(has, top[:, c], 1)
-        A = (A * piv[:, None, None] - f[:, :, None] * top[:, None, :]) % p
-        ranks += has
-    # leading entry of each row (0 for a zero row, whose inverse is unused)
-    lead = np.take_along_axis(A, (A != 0).argmax(axis=2)[..., None], axis=2)
-    return A * _inv_stack(lead, p) % p, ranks
-
-
 def rank(M, p) -> int:
     """Rank mod p. rank(M) = rank(M^T), so a matrix with more than PANEL
     columns and more columns than rows is eliminated as its transpose,
@@ -227,7 +222,7 @@ def rank(M, p) -> int:
         A = np.remainder(M.T, p, out=np.empty(M.shape[::-1], np.int64))
     else:
         A = as_matrix(M, p)
-    pivots, _, _ = _eliminate(A, p, reduced=False)
+    pivots, _, _ = _eliminate(A, p)
     return len(pivots)
 
 
@@ -236,7 +231,7 @@ def det(M, p) -> int:
     n, m = A.shape
     if n != m:
         raise NotSquare(f"determinant of a {n}x{m} matrix")
-    pivots, det_unit, sign = _eliminate(A, p, reduced=False)
+    pivots, det_unit, sign = _eliminate(A, p)
     if len(pivots) < n:
         return 0
     return det_unit * sign % p
@@ -286,14 +281,12 @@ def mat_mul(A, B, p):
     return (hi * (1 << 16) + lo) % p
 
 
-def mat_vec(A, v, p):
-    return mat_mul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1), p).ravel()
-
-
 def interpolate(ys, p):
     """Ascending coefficients of the polynomial of degree < len(ys) whose
-    value at x = 1, 2, ..., len(ys) is ys[x - 1] (a Vandermonde solve)."""
+    value at x = 1, 2, ..., len(ys) is ys[x - 1]: the last column of
+    rref([V | ys]), V the Vandermonde matrix of those points."""
     n = len(ys)
     V = np.array([[pow(x, k, p) for k in range(n)] for x in range(1, n + 1)],
                  dtype=np.int64)
-    return mat_vec(inv_matrix(V, p), ys, p)
+    R, _ = rref(np.column_stack([V, np.asarray(ys, dtype=np.int64)]), p)
+    return R[:, n]

@@ -13,8 +13,8 @@ import numpy as np
 from geproci.combinat import _collinear_triples
 from geproci.ideals import (_h_vector, ideal_dim, interp_matrix, monomials,
                             simple_scheme)
-from geproci.linalg import kernel_basis, rref_stack
-from geproci.projgeom import (Flat, ProjPoint, project_general, random_point,
+from geproci.linalg import kernel_basis
+from geproci.projgeom import (ProjPoint, project_general, random_point,
                               spanned_flats)
 
 
@@ -67,6 +67,28 @@ def rank_det_by_columns(rows, p):
     if m != n:
         return r, None
     return r, det % p if r == n else 0
+
+
+def rref_by_columns(rows, p):
+    """(R, pivots) by plain Gauss-Jordan elimination, one column and one
+    whole-matrix row operation at a time."""
+    A = np.array(rows, dtype=np.int64) % p
+    m, n = A.shape
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        others = np.arange(m) != r
+        A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+        pivots.append(c)
+    return A, pivots
 
 
 def is_prime_trial(n):
@@ -289,34 +311,6 @@ def brianchon_by_pairs(points):
             return (tuple(six[i] for i in tri),
                     tuple(six[i] for i in sorted(rest)))
     return None
-
-
-def spanned_flats_by_elimination(points, k, chunk=512):
-    """spanned_flats keyed by echelon forms: every k-subset is reduced by
-    rref_stack (chunk at a time), the rank-k ones are grouped by their
-    echelon rows with one stable lexsort, and the flats and their members
-    are built in the order of their first subsets."""
-    p = points[0].p
-    coords = np.array([q.coords for q in points], dtype=np.int64)
-    combos = itertools.combinations(range(len(points)), k)
-    keys, subsets = [], []
-    while batch := list(itertools.islice(combos, chunk)):
-        idx = np.array(batch)
-        R, ranks = rref_stack(coords[idx], p)
-        keys.append(R[ranks == k].reshape(-1, R[0].size))
-        subsets.append(idx[ranks == k])
-    K, S = np.concatenate(keys), np.concatenate(subsets)
-    order = np.lexsort(K.T[::-1])
-    Ks = K[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (Ks[1:] != Ks[:-1]).any(axis=1)
-    first = np.empty_like(order)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    out = {}
-    for i, f in enumerate(first.tolist()):
-        basis = tuple(map(tuple, K[f].reshape(k, -1).tolist()))
-        out.setdefault(basis, set()).update(points[j] for j in S[i])
-    return {Flat(b, p): frozenset(v) for b, v in out.items()}
 
 
 def deletion_h_vectors_by_kernels(points, p):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geproci import linalg
 from geproci.linalg import (
@@ -13,16 +13,16 @@ from geproci.linalg import (
     NotSquare,
     as_matrix,
     det,
+    interpolate,
     inv_matrix,
     kernel_basis,
     mat_mul,
-    mat_vec,
     rank,
     rref,
-    rref_stack,
 )
 
-from oracles import det_cofactor, rank_det_by_columns, rank_minors
+from oracles import (det_cofactor, rank_det_by_columns, rank_minors,
+                     rref_by_columns, solve_vandermonde)
 
 P = 1073741827
 
@@ -63,8 +63,7 @@ def test_kernel_vectors_annihilate():
         ker = kernel_basis(M, P)
         assert len(ker) == n - rank(M, P)
         for v in ker:
-            out = mat_vec(M, np.asarray(v, dtype=np.int64), P)
-            assert not out.any()
+            assert not mat_mul(M, v.reshape(-1, 1), P).any()
 
 
 def test_inv_matrix_round_trip():
@@ -129,35 +128,6 @@ def test_rank_bounded_by_shape(seed):
     r = rank(M, P)
     assert 0 <= r <= min(m, n)
     assert rank(M.T.copy(), P) == r
-
-
-@st.composite
-def _stacks(draw):
-    """(p, A): an (N, k, m) stack, k <= 4 and m <= 5, whose rows are fresh,
-    repeated from a small pool, or zero, so items are often rank-deficient."""
-    p = draw(st.sampled_from([7, P]))
-    n = draw(st.integers(0, 6))
-    k = draw(st.integers(0, 4))
-    m = draw(st.integers(1, 5))
-    entry = st.integers(-3, 3) | st.integers(0, p - 1)
-    fresh = st.lists(entry, min_size=m, max_size=m)
-    pool = draw(st.lists(fresh, min_size=1, max_size=2)) + [[0] * m]
-    row = fresh | st.sampled_from(pool)
-    items = draw(st.lists(st.lists(row, min_size=k, max_size=k),
-                          min_size=n, max_size=n))
-    return p, np.array(items, dtype=np.int64).reshape(n, k, m)
-
-
-@given(_stacks())
-@settings(max_examples=100, deadline=None)
-def test_rref_stack_agrees_with_rref_and_rank(case):
-    p, A = case
-    R, ranks = rref_stack(A, p)
-    assert R.shape == A.shape and ranks.shape == (A.shape[0],)
-    for item, got, rk in zip(A, R, ranks):
-        want, pivots = rref(item, p)
-        assert np.array_equal(got, want)
-        assert rk == len(pivots) == rank(item, p)
 
 
 P31 = 2**31 - 1   # largest prime the library accepts
@@ -226,6 +196,55 @@ def test_blocked_rank_and_det_match_column_loop(case):
     assert rank(M - p, p) == want_rank   # unreduced entries are reduced
     if want_det is not None:
         assert det(M, p) == want_det
+
+
+@st.composite
+def _small_cases(draw):
+    """(p, M): at most 6 x 6, rows fresh, repeated from a small pool or
+    zero, so the matrices are often rank-deficient; zero rows allowed."""
+    p = draw(st.sampled_from([7, P]))
+    k = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3) | st.integers(0, p - 1)
+    fresh = st.lists(entry, min_size=m, max_size=m)
+    pool = draw(st.lists(fresh, min_size=1, max_size=2)) + [[0] * m]
+    rows = draw(st.lists(fresh | st.sampled_from(pool), min_size=k,
+                         max_size=k))
+    return p, np.array(rows, dtype=np.int64).reshape(k, m)
+
+
+@given(_blocked_cases() | _small_cases())
+@settings(max_examples=80, deadline=None)
+# wide with rows <= PANEL: the first panel uses up every row, and only the
+# trailing update's triangular solve finishes the rows right of it
+@example((P, np.random.default_rng(1).integers(0, P, (20, 2 * PANEL))))
+def test_rref_and_kernel_match_gauss_jordan(case):
+    p, M = case
+    want, want_pivots = rref_by_columns(M, p)
+    R, pivots = rref(M, p)
+    assert pivots == want_pivots
+    assert np.array_equal(R, want)
+    # the kernel basis is the one that is e_f on the free columns
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    K = np.array(kernel_basis(M, p), dtype=np.int64).reshape(-1, M.shape[1])
+    assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+    assert not mat_mul(M, K.T, p).any()
+
+
+@st.composite
+def _samples(draw):
+    """(p, ys): values at x = 1 .. n, with n < p so the x are distinct."""
+    p = draw(st.sampled_from([7, P, P31]))
+    n = draw(st.integers(1, min(p - 1, 12)))
+    return p, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+
+
+@given(_samples())
+@settings(max_examples=60, deadline=None)
+def test_interpolate_matches_lagrange(case):
+    p, ys = case
+    xs = list(range(1, len(ys) + 1))
+    assert interpolate(ys, p).tolist() == solve_vandermonde(xs, ys, p)
 
 
 def test_trailing_product_exact_at_its_bound():

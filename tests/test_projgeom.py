@@ -29,7 +29,7 @@ from geproci.projgeom import (
     spanned_flats,
 )
 
-from oracles import collinear, spanned_flats_by_elimination
+from oracles import collinear
 
 P = 1073741827
 
@@ -273,7 +273,7 @@ _CORPUS = [("d4", 2), ("f4", 2), ("penrose", 2), ("h4", 2), ("e8", 2),
 def test_spanned_flats_match_elimination_oracle(label, k):
     points = configs.named(label).points
     got = spanned_flats(points, k)
-    want = spanned_flats_by_elimination(points, k)
+    want = _flats_one_subset_at_a_time(points, k)
     # same flats in the same order, same members in the same order
     assert list(got.items()) == list(want.items())
     for v, w in zip(got.values(), want.values()):
@@ -283,8 +283,7 @@ def test_spanned_flats_match_elimination_oracle(label, k):
 def test_censuses_run_without_elimination():
     # the keys and echelon forms come from minors alone
     boom = mock.Mock(side_effect=AssertionError("elimination called"))
-    with mock.patch.object(linalg, "rref_stack", boom), \
-            mock.patch.object(linalg, "_eliminate", boom):
+    with mock.patch.object(linalg, "_eliminate", boom):
         assert line_census(configs.named("d4")).histogram == {2: 18, 3: 16}
         assert (plane_census(configs.named("z1")).histogram
                 == {3: 366, 4: 168, 5: 30, 10: 30})
@@ -292,7 +291,8 @@ def test_censuses_run_without_elimination():
 
 
 # tracemalloc peak of spanned_flats(points120, 3) with the echelon-keyed
-# grouping (subsets reduced by rref_stack), Python 3.11, numpy 2.4
+# grouping (subsets reduced by a stacked rref, since removed), Python
+# 3.11, numpy 2.4
 ELIMINATION_PEAK = 66_364_166
 
 

@@ -4,10 +4,13 @@ import random
 import pytest
 
 from geproci.configs import named, skeleton, unity_grid
-from geproci.projgeom import ProjPoint, flat_through
+from geproci.ideals import interp_matrix
+from geproci.linalg import rank
+from geproci.projgeom import ProjPoint, flat_through, random_point
 from geproci.unexpected import (
     _condition_points,
     _flat_points,
+    _space,
     adim,
     c_predicate,
     skeleton_dims,
@@ -116,6 +119,21 @@ def test_root_system_24_points_cones():
     r6 = c_predicate(cfg, 6, trials=1)
     assert r4.unexpected and r4.adim == 1
     assert r6.unexpected and (r6.adim, r6.vdim) == (7, 4)
+
+
+@pytest.mark.parametrize("Z,t,expected", [
+    (named("d4"), 3, 1),
+    (skeleton(5, 4), 3, 5),
+], ids=["d4", "line-skeleton-5"])
+def test_cone_dimension_by_projection_matches_fat_vertex(Z, t, expected):
+    # for m = t adim projects Z from a general point; here the cone is
+    # counted directly, with the vertex a fat point of multiplicity t
+    n, p = _space(Z)
+    rng = random.Random(5)
+    scheme = ([(q, 1) for q in _condition_points(Z, t, rng)]
+              + [(random_point(n + 1, p, rng), t)])
+    direct = math.comb(t + n, n) - rank(interp_matrix(scheme, t, p), p)
+    assert adim(Z, t, t, trials=1) == direct == expected
 
 
 def test_rays13_near_diagonal_dimensions():
