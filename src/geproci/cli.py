@@ -113,7 +113,7 @@ def _cmd_ks(args):
     verdict = YES if ks.is_ks_set(g) else NO
     data = {"edges": len(g.edges), "bases": len(g.bases),
             "max_cliques": len(g.max_cliques),
-            "primes": list(g.primes)}
+            "primes": list(g.primes), "rule": "bases+max_cliques"}
     return _emit(Decision(verdict, cfg.field.p, args.seed, 1, data), args)
 
 

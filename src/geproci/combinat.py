@@ -1,5 +1,6 @@
 """Incidence combinatorics: line and plane censuses, concurrency points
-of a (3,3)-grid, and weak combinatorial equivalence tests.
+of a (3,3)-grid, weak combinatorial equivalence tests, and the one
+exact-cover search behind grid rulings and Kochen-Specker colourings.
 
 Two point sets are weakly combinatorially equivalent when a bijection
 preserves collinearity both ways. The test is staged: cheap censuses and
@@ -235,6 +236,43 @@ def _search_bijection(prof1, prof2, coll1, coll2):
     if walk(0):
         return list(image)
     return None
+
+
+# ---------------------------------------------------------------------------
+# exact cover
+
+def exact_covers(n_items, options):
+    """Yield each exact cover of the items 0 .. n_items-1 as the list of
+    indices of its options, every option a bitmask of the items it
+    covers.
+
+    Knuth's Algorithm X (Dancing Links, 2000; TAOCP 7.2.2.1): branch on
+    the uncovered item with the fewest live options (those inside the
+    uncovered items), the lowest such item on ties, and try its options
+    in index order."""
+    by_item = [[] for _ in range(n_items)]
+    for o, mask in enumerate(options):
+        for i in _bits(mask):
+            by_item[i].append(o)
+    chosen = []
+
+    def search(todo):
+        if not todo:
+            yield list(chosen)
+            return
+        best = None
+        for i in _bits(todo):
+            live = [o for o in by_item[i] if not options[o] & ~todo]
+            if best is None or len(live) < len(best):
+                best = live
+                if not live:
+                    return
+        for o in best:
+            chosen.append(o)
+            yield from search(todo & ~options[o])
+            chosen.pop()
+
+    yield from search((1 << n_items) - 1)
 
 
 def weak_comb_equivalent(Z1, Z2, exhaustive_bound=16):

@@ -8,13 +8,20 @@ irrationals swap roots, real ones stay fixed). Since the arithmetic is
 mod p, a zero can be accidental; edges are therefore required to vanish
 under two independently chosen primes, which bounds the false-edge
 probability by 1/(p1*p2) per pair.
+
+The bases are the full-rank k-subsets of the maximal cliques. A set is
+Kochen-Specker under the rule "bases+max_cliques" when no exact cover of
+the bases and maximal cliques by vertices exists; combinat.exact_covers
+searches for one.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from .combinat import exact_covers
 from .configs import Configuration, eval_expr
 from .field import make_field
 
@@ -94,83 +101,41 @@ def ortho_graph(X: Configuration, seed=0) -> OrthoGraph:
         rows2 = _coord_rows(X, fs2)
         edges &= _edge_set(rows2, _coord_rows(X, fs2, conj=True), fs2.p)
         primes.append(fs2.p)
-    k = X.ambient_dim + 1
-    bases = []
     adj = {i: set() for i in range(n)}
     for e in edges:
         i, j = tuple(e)
         adj[i].add(j)
         adj[j].add(i)
-
-    def extend(clique, candidates):
-        if len(clique) == k:
-            M = np.array([rows[i] for i in clique], dtype=np.int64)
-            if linalg.rank(M, X.field.p) == k:
-                bases.append(tuple(clique))
-            return
-        for v in sorted(candidates):
-            extend(clique + [v], {w for w in candidates
-                                  if w > v and w in adj[v]})
-
-    extend([], set(range(n)))
     cliques = _maximal_cliques(n, adj)
+    # every k-clique lies in a maximal one; a basis is one of full rank
+    k = X.ambient_dim + 1
+    subsets = {s for c in cliques for s in itertools.combinations(c, k)}
+    bases = [s for s in sorted(subsets)
+             if linalg.rank(np.array([rows[i] for i in s], dtype=np.int64),
+                            X.field.p) == k]
     return OrthoGraph(n, X.ambient_dim, edges, bases, cliques,
                       tuple(primes))
 
 
 def is_ks_set(X, seed=0) -> bool:
-    """Whether no truth assignment f: X -> {0,1} exists with f zero on
-    at least one endpoint of every edge and summing to 1 on every
-    maximal set of mutually orthogonal vectors.
+    """Whether no truth assignment f: X -> {0,1} exists summing to 1 on
+    every constraint, under the rule "bases+max_cliques": the constraints
+    are the full orthogonal bases and also the maximal cliques of the
+    orthogonality graph that do not extend to a basis (orthogonal pairs
+    or partial frames).
 
-    The constraints cover the full orthogonal bases and also the
-    maximal cliques of the orthogonality graph that do not extend to a
-    basis (orthogonal pairs or partial frames); the exclusivity rule
-    plus the per-clique sum pins each to exactly one vector marked 1.
-    True means the configuration is a Kochen-Specker set. The search is
-    exact; seed does not change the result.
+    Such an f is an exact cover of the constraints by the vertices it
+    marks 1. Every orthogonal pair lies in a maximal clique, so no two
+    orthogonal vectors are both marked. True means the configuration is
+    a Kochen-Specker set under this rule. The search is exact; seed does
+    not change the result.
     """
     g = X if isinstance(X, OrthoGraph) else ortho_graph(X, seed=seed)
     if not g.bases:
         return False
-    adj = {i: set() for i in range(g.n_vertices)}
-    for e in g.edges:
-        i, j = tuple(e)
-        adj[i].add(j)
-        adj[j].add(i)
-    value = [None] * g.n_vertices
-
-    def walk(pending):
-        # every basis needs exactly one vertex assigned 1
-        open_bases = []
-        for basis in pending:
-            if any(value[i] == 1 for i in basis):
-                continue
-            cand = [i for i in basis if value[i] is None]
-            if not cand:
-                return False
-            open_bases.append((len(cand), cand, basis))
-        if not open_bases:
-            return True
-        _, cand, basis = min(open_bases, key=lambda t: t[0])
-        rest = [b for _, _, b in open_bases if b is not basis]
-        for i in cand:
-            flipped = []
-            ok = True
-            value[i] = 1
-            flipped.append(i)
-            for j in adj[i] | (set(basis) - {i}):
-                if value[j] == 1:
-                    ok = False
-                    break
-                if value[j] is None:
-                    value[j] = 0
-                    flipped.append(j)
-            if ok and walk(rest):
-                return True
-            for j in flipped:
-                value[j] = None
-        return False
-
     constraints = list(dict.fromkeys(list(g.bases) + list(g.max_cliques)))
-    return not walk(constraints)
+    options = [0] * g.n_vertices
+    for c, members in enumerate(constraints):
+        for i in members:
+            options[i] |= 1 << c
+    return next(exact_covers(len(constraints), options), None) is None

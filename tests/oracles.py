@@ -375,3 +375,46 @@ def fat_conditions_by_lines(coords, mult, t, p, rng):
                     for s in xs], p) for e in exps]
         rows.extend([cf[j] for cf in coef] for j in range(order))
     return np.array(rows, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# exact covers and Kochen-Specker colourings, by exhausting subsets
+
+def covers_by_subsets(n_items, options):
+    """Every set of option indices whose bitmasks are disjoint and cover
+    the items 0 .. n_items-1, as frozensets."""
+    full = (1 << n_items) - 1
+    out = set()
+    for r in range(len(options) + 1):
+        for pick in itertools.combinations(range(len(options)), r):
+            masks = [options[o] for o in pick]
+            if sum(masks) == full and all(
+                    not a & b for a, b in itertools.combinations(masks, 2)):
+                out.add(frozenset(pick))
+    return out
+
+
+def ks_by_assignments(g):
+    """Whether no 0/1 assignment of the (at most 16) vertices of the
+    orthogonality graph g marks at most one end of every edge and exactly
+    one vertex of every basis and maximal clique; every assignment is
+    tried as a bitmask. A graph without bases is not KS."""
+    assert g.n_vertices <= 16
+    if not g.bases:
+        return False
+    pairs = [sum(1 << i for i in e) for e in g.edges]
+    sets = [sum(1 << i for i in c) for c in list(g.bases) + g.max_cliques]
+    return not any(
+        all((f & c).bit_count() == 1 for c in sets)
+        and all((f & e).bit_count() < 2 for e in pairs)
+        for f in range(1 << g.n_vertices))
+
+
+def bases_by_subsets(g, rows, p):
+    """Index k-subsets of the vectors, k their dimension, that are pairwise
+    orthogonal (edges of g) and of full rank by a cofactor determinant."""
+    k = g.ambient_dim + 1
+    return [s for s in itertools.combinations(range(g.n_vertices), k)
+            if all(frozenset(e) in g.edges
+                   for e in itertools.combinations(s, 2))
+            and det_cofactor([rows[i] for i in s], p)]

@@ -231,7 +231,9 @@ def test_ks_verdicts(tmp_path, capsys):
     save(named("rays13"), str(path))
     code, out = run(capsys, "--json", "ks", path)
     assert code == 0
-    assert json.loads(out)["data"]["bases"] == 4
+    data = json.loads(out)["data"]
+    assert data["bases"] == 4
+    assert data["rule"] == "bases+max_cliques"
 
     fs = make_field([])
     basis = [ProjPoint.make([1 if j == i else 0 for j in range(4)], fs.p)

@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geproci.combinat import (
     NotA33Grid,
     SizeMismatch,
     brianchon_points,
     disjoint_k13_probe,
+    exact_covers,
     k33_probe,
     line_census,
     plane_census,
@@ -19,6 +21,7 @@ from geproci.projgeom import NotDistinct, ProjPoint, span_dim
 
 from oracles import (
     collinear,
+    covers_by_subsets,
     det_cofactor,
     brianchon_by_pairs,
     disjoint_k13_probe_sets,
@@ -271,3 +274,47 @@ def test_different_censuses_distinguished():
     verdict, invariant = weak_comb_equivalent(g, cfg)
     assert verdict == "Distinguished"
     assert invariant == "line_census"
+
+
+# ---------------------------------------------------------------------------
+# exact covers
+
+def _masks(*options):
+    return [sum(1 << i for i in o) for o in options]
+
+
+def test_exact_covers_knuth_example():
+    # items a..g as 0..6; the only cover is {a d f}, {b g}, {c e}
+    a, b, c, d, e, f, g = range(7)
+    options = _masks((c, e), (a, d, g), (b, c, f), (a, d, f), (b, g),
+                     (d, e, g))
+    assert list(exact_covers(7, options)) == [[3, 4, 0]]
+
+
+def test_exact_covers_none():
+    assert list(exact_covers(3, _masks((0, 1), (1, 2), (0, 2)))) == []
+    assert list(exact_covers(2, _masks((0,)))) == []
+
+
+def test_exact_covers_order_follows_the_tie_break():
+    # item 0 has three options, items 1..3 two each: the search branches
+    # on item 1 and then, under option 3, on item 2 (one live option)
+    options = _masks((0, 1), (2, 3), (0, 2), (1, 3), (0,))
+    assert list(exact_covers(4, options)) == [[0, 1], [3, 2]]
+
+
+@st.composite
+def _cover_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    options = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                            max_size=10))
+    return n, options
+
+
+@given(_cover_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_covers_match_subset_oracle(case):
+    n, options = case
+    covers = [frozenset(c) for c in exact_covers(n, options)]
+    assert len(covers) == len(set(covers))
+    assert set(covers) == covers_by_subsets(n, options)

@@ -7,6 +7,8 @@ from geproci.field import make_field
 from geproci.ks import is_ks_set, ortho_graph
 from geproci.projgeom import ProjPoint
 
+from oracles import bases_by_subsets, ks_by_assignments
+
 STATS = {
     "rays13": (24, 4, 16),
     "rays21": (48, 4, 40),
@@ -49,6 +51,24 @@ def test_single_basis_is_colorable():
     g = ortho_graph(cfg)
     assert len(g.bases) == 1
     assert not is_ks_set(cfg)
+    assert not ks_by_assignments(g)
+
+
+@pytest.mark.parametrize("label", ["rays13", "rays21", "peres33"])
+def test_bases_match_subset_oracle(label):
+    cfg = named(label)
+    g = ortho_graph(cfg)
+    rows = [list(q.coords) for q in cfg.points]
+    assert g.bases == bases_by_subsets(g, rows, cfg.field.p)
+
+
+@pytest.mark.parametrize("drop", [None, *range(13)])
+def test_ks_verdict_matches_assignment_oracle(drop):
+    cfg = named("rays13")
+    if drop is not None:
+        cfg = cfg.subset([i for i in range(13) if i != drop])
+    g = ortho_graph(cfg)
+    assert is_ks_set(g) == ks_by_assignments(g)
 
 
 def test_neighbors_are_symmetric():
