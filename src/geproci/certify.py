@@ -101,7 +101,7 @@ def _complement_candidates(kernel, span_rows, p, rng, limit=5):
     return out
 
 
-def is_geproci(points, a, b, trials=2, seed=0, prime=None) -> Decision:
+def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
     """Whether the general projection of the points is a complete
     intersection of plane curves of degrees (a, b), with a <= b.
 
@@ -116,9 +116,10 @@ def is_geproci(points, a, b, trials=2, seed=0, prime=None) -> Decision:
         raise ValueError("need a <= b")
     if a < 1:
         raise ValueError("need a >= 1")
-    p = prime or points[0].p
-    if prime and prime != points[0].p:
-        raise ValueError("points live over a different prime")
+    if points[0].ambient_dim != 3:
+        raise ValueError(f"geproci is defined for points of P^3, got "
+                         f"points of P^{points[0].ambient_dim}")
+    p = points[0].p
     data = {"n_points": len(points), "a": a, "b": b, "dims": []}
     dec = Decision(INCONCLUSIVE, p, seed, trials, data)
     if span_dim(points) < points[0].ambient_dim:

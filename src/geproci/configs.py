@@ -7,9 +7,11 @@ configurations keep their coordinate expression strings so files
 round-trip exactly; computed ones are saved as residue literals.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -51,132 +53,123 @@ class NotStandard(ValueError):
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\^|\+|-|/|\(|\))")
 
 
-def _tokenize(text):
-    pos = 0
-    out = []
+@functools.cache
+def _parse(text):
+    """Syntax tree of a coordinate expression, by recursive descent over
+    +, -, *, /, ^ (integer exponents, possibly negative and
+    parenthesized), parentheses, integers and symbol names: an int, a
+    symbol name, (op, left, right) for op in + - * /, ("neg", x) or
+    ("^", base, int). Each distinct text is parsed once."""
+    tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError(f"bad character at column {pos} in {text!r}")
-        out.append((m.group(1), pos))
+        tokens.append((m.group(1), pos))
         pos = m.end()
-    return out
+    tokens.reverse()    # a stack: the next token is tokens[-1]
 
+    def peek():
+        return tokens[-1][0] if tokens else None
 
-class _ExprParser:
-    """Recursive descent for +, -, *, /, ^ (integer exponents, possibly
-    negative and parenthesized), parentheses, integers and symbol names."""
-
-    def __init__(self, text, env, p):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.env = env
-        self.p = p
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError(f"unexpected end of expression {self.text!r}")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, what):
-        tok, pos = self.next()
-        if tok != what:
+    def take(expected=None):
+        if not tokens:
+            raise ParseError(f"unexpected end of expression {text!r}")
+        tok, at = tokens.pop()
+        if expected is not None and tok != expected:
             raise ParseError(
-                f"expected {what!r} at column {pos} in {self.text!r}")
-        return tok
+                f"expected {expected!r} at column {at} in {text!r}")
+        return tok, at
 
-    def parse(self):
-        v = self.expr()
-        if self.i != len(self.tokens):
-            tok, pos = self.tokens[self.i]
-            raise ParseError(
-                f"trailing {tok!r} at column {pos} in {self.text!r}")
-        return v % self.p
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            w = self.term()
-            v = (v + w) % self.p if op == "+" else (v - w) % self.p
+    def binary(ops, operand):   # left-associative
+        v = operand()
+        while peek() in ops:
+            v = (take()[0], v, operand())
         return v
 
-    def term(self):
-        v = self.unary()
-        while self.peek() in ("*", "/"):
-            op, pos = self.next()
-            w = self.unary()
-            if op == "*":
-                v = v * w % self.p
-            else:
-                if w % self.p == 0:
-                    raise ParseError(
-                        f"division by zero at column {pos} in {self.text!r}")
-                v = v * pow(w, self.p - 2, self.p) % self.p
-        return v
+    def expr():
+        return binary(("+", "-"), lambda: binary(("*", "/"), unary))
 
-    def unary(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            if op == "-":
-                sign = -sign
-        return sign * self.power() % self.p
+    def unary():    # signs bind looser than ^
+        neg = False
+        while peek() in ("+", "-"):
+            neg ^= take()[0] == "-"
+        v = atom()
+        if peek() == "^":
+            take()
+            v = ("^", v, exponent())
+        return ("neg", v) if neg else v
 
-    def power(self):
-        v = self.atom()
-        if self.peek() == "^":
-            self.next()
-            e = self.exponent()
-            if e >= 0:
-                v = pow(v, e, self.p)
-            else:
-                if v % self.p == 0:
-                    raise ParseError(
-                        f"zero to a negative power in {self.text!r}")
-                v = pow(pow(v, self.p - 2, self.p), -e, self.p)
-        return v
-
-    def exponent(self):
-        if self.peek() == "(":
-            self.next()
-            e = self.exponent()
-            self.expect(")")
+    def exponent():
+        if peek() == "(":
+            take()
+            e = exponent()
+            take(")")
             return e
-        sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        tok, pos = self.next()
+        sign = -1 if peek() == "-" else 1
+        if sign < 0:
+            take()
+        tok, at = take()
         if not tok.isdigit():
             raise ParseError(
-                f"expected integer exponent at column {pos} in {self.text!r}")
+                f"expected integer exponent at column {at} in {text!r}")
         return sign * int(tok)
 
-    def atom(self):
-        tok, pos = self.next()
-        if tok.isdigit():
-            return int(tok) % self.p
+    def atom():
+        tok, at = take()
         if tok == "(":
-            v = self.expr()
-            self.expect(")")
+            v = expr()
+            take(")")
             return v
+        if tok.isdigit():
+            return int(tok)
         if tok[0].isalpha() or tok[0] == "_":
-            if tok not in self.env:
-                raise UnresolvableSymbol(
-                    f"unknown symbol {tok!r} in {self.text!r}")
-            return self.env[tok] % self.p
-        raise ParseError(f"unexpected {tok!r} at column {pos} in {self.text!r}")
+            return tok
+        raise ParseError(f"unexpected {tok!r} at column {at} in {text!r}")
+
+    tree = expr()
+    if tokens:
+        tok, at = tokens[-1]
+        raise ParseError(f"trailing {tok!r} at column {at} in {text!r}")
+    return tree
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _evaluate(tree, env, p):
+    """Value mod p of a syntax tree from _parse, with the symbols in env."""
+    if isinstance(tree, int):
+        return tree % p
+    if isinstance(tree, str):
+        if tree not in env:
+            raise UnresolvableSymbol(f"unknown symbol {tree!r}")
+        return env[tree] % p
+    if tree[0] == "neg":
+        return -_evaluate(tree[1], env, p) % p
+    op, left, right = tree
+    v = _evaluate(left, env, p)
+    if op == "^":
+        if right < 0:
+            if v == 0:
+                raise ParseError("zero to a negative power")
+            v, right = pow(v, p - 2, p), -right
+        return pow(v, right, p)
+    w = _evaluate(right, env, p)
+    if op == "/":
+        if w == 0:
+            raise ParseError("division by zero")
+        op, w = "*", pow(w, p - 2, p)
+    return _ARITH[op](v, w) % p
 
 
 def eval_expr(text, env, p) -> int:
-    return _ExprParser(str(text), env, p).parse()
+    text = str(text)
+    tree = _parse(text)
+    try:
+        return _evaluate(tree, env, p)
+    except ValueError as exc:   # name the text an arithmetic error comes from
+        raise type(exc)(f"{exc} in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

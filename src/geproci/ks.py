@@ -9,10 +9,11 @@ mod p, a zero can be accidental; edges are therefore required to vanish
 under two independently chosen primes, which bounds the false-edge
 probability by 1/(p1*p2) per pair.
 
-The bases are the full-rank k-subsets of the maximal cliques. A set is
-Kochen-Specker under the rule "bases+max_cliques" when no exact cover of
-the bases and maximal cliques by vertices exists; combinat.exact_covers
-searches for one.
+Each prime's edges are the zero pattern of one Gram product. The bases
+are the full-rank k-subsets of the maximal cliques, decided by one stack
+of determinants. A set is Kochen-Specker under the rule
+"bases+max_cliques" when no exact cover of the bases and maximal cliques
+by vertices exists; combinat.exact_covers searches for one.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from . import linalg
 from .combinat import exact_covers
 from .configs import Configuration, eval_expr
 from .field import make_field
+from .projgeom import _minors
 
 
 @dataclass
@@ -58,49 +60,36 @@ def _maximal_cliques(n, adj):
     return out
 
 
-def _conj_env(fs):
-    return {name: fs.conjugate(name) for name in fs.symbols}
-
-
 def _coord_rows(cfg, fs, conj=False):
     """Coordinate rows of the configuration over the field fs, with the
     symbols optionally replaced by their conjugates."""
-    env = _conj_env(fs) if conj else dict(fs.symbols)
-    if cfg.exprs is not None:
-        return [[eval_expr(e, env, fs.p) for e in row] for row in cfg.exprs]
-    if fs is not cfg.field:
-        raise ValueError("cannot transport a configuration without "
-                         "coordinate expressions to another prime")
-    return [list(q.coords) for q in cfg.points]
+    if cfg.exprs is None:
+        return [list(q.coords) for q in cfg.points]
+    env = ({name: fs.conjugate(name) for name in fs.symbols} if conj
+           else fs.symbols)
+    return [[eval_expr(e, env, fs.p) for e in row] for row in cfg.exprs]
 
 
-def _edge_set(rows, conj_rows, p):
-    A = np.array(rows, dtype=np.int64) % p
-    B = np.array(conj_rows, dtype=np.int64) % p
-    G = linalg.mat_mul(A, B.T, p)
-    n = len(rows)
-    return {frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
-            if G[i, j] == 0 and G[j, i] == 0}
-
-
-def _second_field(cfg):
-    constraints = list(cfg.field.constraints.items())
-    return make_field(constraints, min_bound=cfg.field.p + 1)
+def _edge_set(cfg, fs):
+    """Pairs i < j whose Hermitian products over fs vanish both ways, read
+    off the zero pattern of one Gram product."""
+    conj = linalg.as_matrix(_coord_rows(cfg, fs, conj=True), fs.p)
+    Z = linalg.mat_mul(_coord_rows(cfg, fs), conj.T, fs.p) == 0
+    i, j = np.nonzero(np.triu(Z & Z.T, 1))
+    return {frozenset(e) for e in zip(i.tolist(), j.tolist())}
 
 
 def ortho_graph(X: Configuration, seed=0) -> OrthoGraph:
     """Orthogonality graph of the configuration, edges confirmed under
-    two primes when the points carry coordinate expressions. The second
-    prime is the next suitable one, so seed does not change the result."""
+    two primes when the points carry coordinate expressions (points
+    without them cannot be carried to another prime). The second prime
+    is the next suitable one, so seed does not change the result."""
     n = len(X.points)
-    rows = _coord_rows(X, X.field)
-    edges = _edge_set(rows, _coord_rows(X, X.field, conj=True), X.field.p)
-    primes = [X.field.p]
+    fields = [X.field]
     if X.exprs is not None:
-        fs2 = _second_field(X)
-        rows2 = _coord_rows(X, fs2)
-        edges &= _edge_set(rows2, _coord_rows(X, fs2, conj=True), fs2.p)
-        primes.append(fs2.p)
+        fields.append(make_field(list(X.field.constraints.items()),
+                                 min_bound=X.field.p + 1))
+    edges = set.intersection(*(_edge_set(X, fs) for fs in fields))
     adj = {i: set() for i in range(n)}
     for e in edges:
         i, j = tuple(e)
@@ -109,12 +98,14 @@ def ortho_graph(X: Configuration, seed=0) -> OrthoGraph:
     cliques = _maximal_cliques(n, adj)
     # every k-clique lies in a maximal one; a basis is one of full rank
     k = X.ambient_dim + 1
-    subsets = {s for c in cliques for s in itertools.combinations(c, k)}
-    bases = [s for s in sorted(subsets)
-             if linalg.rank(np.array([rows[i] for i in s], dtype=np.int64),
-                            X.field.p) == k]
+    subsets = sorted({s for c in cliques
+                      for s in itertools.combinations(c, k)})
+    idx = np.array(subsets, dtype=np.intp).reshape(-1, k)
+    coords = linalg.as_matrix([q.coords for q in X.points], X.field.p)
+    dets = _minors(coords[idx], X.field.p)
+    bases = [s for s, d in zip(subsets, dets[:, 0].tolist()) if d]
     return OrthoGraph(n, X.ambient_dim, edges, bases, cliques,
-                      tuple(primes))
+                      tuple(fs.p for fs in fields))
 
 
 def is_ks_set(X, seed=0) -> bool:

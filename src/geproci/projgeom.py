@@ -344,8 +344,10 @@ def projection_matrix(vertex: ProjPoint, seed: int = 0):
     while True:
         cols = [[rng.randrange(p) for _ in range(n1)] for _ in range(n1 - 1)]
         B = np.array(cols + [list(vertex.coords)], dtype=np.int64).T
-        if linalg.rank(B, p) == n1:
+        try:
             return linalg.inv_matrix(B, p)
+        except ValueError:
+            pass    # singular: draw new columns
 
 
 def project_from(vertex: ProjPoint, points, seed: int = 0):

@@ -12,7 +12,7 @@ import random
 
 from . import linalg
 from .ideals import interp_matrix, num_monomials
-from .projgeom import ProjPoint, random_point
+from .projgeom import MixedAmbient, ProjPoint, random_point
 
 IDENTICALLY_ZERO = "IdenticallyZero"
 
@@ -56,6 +56,10 @@ def members(points, d, probes, seed=0):
     locus of the points: True exactly when the system at Q has lower
     rank than at a generic vertex. The generic rank is computed once."""
     p = points[0].p
+    for Q in probes:
+        if Q.ambient_dim != points[0].ambient_dim:
+            raise MixedAmbient(f"probe {Q} lies in P^{Q.ambient_dim}, the "
+                               f"points in P^{points[0].ambient_dim}")
     rho = generic_rank(points, d, seed=seed)
     return [linalg.rank(weddle_matrix(points, d, Q), p) < rho
             for Q in probes]

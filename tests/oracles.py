@@ -7,10 +7,12 @@ library must agree with these on small inputs.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 
 from geproci.combinat import _collinear_triples
+from geproci.configs import ParseError, UnresolvableSymbol
 from geproci.ideals import (_h_vector, ideal_dim, interp_matrix, monomials,
                             simple_scheme)
 from geproci.linalg import kernel_basis
@@ -418,3 +420,138 @@ def bases_by_subsets(g, rows, p):
             if all(frozenset(e) in g.edges
                    for e in itertools.combinations(s, 2))
             and det_cofactor([rows[i] for i in s], p)]
+
+
+# ---------------------------------------------------------------------------
+# coordinate expressions, by a recursive descent that evaluates as it
+# parses and so re-reads the text on every evaluation
+
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\^|\+|-|/|\(|\))")
+
+
+def _tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"bad character at column {pos} in {text!r}")
+        out.append((m.group(1), pos))
+        pos = m.end()
+    return out
+
+
+class _ExprParser:
+    """Recursive descent for +, -, *, /, ^ (integer exponents, possibly
+    negative and parenthesized), parentheses, integers and symbol names."""
+
+    def __init__(self, text, env, p):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.env = env
+        self.p = p
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def next(self):
+        if self.i >= len(self.tokens):
+            raise ParseError(f"unexpected end of expression {self.text!r}")
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, what):
+        tok, pos = self.next()
+        if tok != what:
+            raise ParseError(
+                f"expected {what!r} at column {pos} in {self.text!r}")
+        return tok
+
+    def parse(self):
+        v = self.expr()
+        if self.i != len(self.tokens):
+            tok, pos = self.tokens[self.i]
+            raise ParseError(
+                f"trailing {tok!r} at column {pos} in {self.text!r}")
+        return v % self.p
+
+    def expr(self):
+        v = self.term()
+        while self.peek() in ("+", "-"):
+            op, _ = self.next()
+            w = self.term()
+            v = (v + w) % self.p if op == "+" else (v - w) % self.p
+        return v
+
+    def term(self):
+        v = self.unary()
+        while self.peek() in ("*", "/"):
+            op, pos = self.next()
+            w = self.unary()
+            if op == "*":
+                v = v * w % self.p
+            else:
+                if w % self.p == 0:
+                    raise ParseError(
+                        f"division by zero at column {pos} in {self.text!r}")
+                v = v * pow(w, self.p - 2, self.p) % self.p
+        return v
+
+    def unary(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            op, _ = self.next()
+            if op == "-":
+                sign = -sign
+        return sign * self.power() % self.p
+
+    def power(self):
+        v = self.atom()
+        if self.peek() == "^":
+            self.next()
+            e = self.exponent()
+            if e >= 0:
+                v = pow(v, e, self.p)
+            else:
+                if v % self.p == 0:
+                    raise ParseError(
+                        f"zero to a negative power in {self.text!r}")
+                v = pow(pow(v, self.p - 2, self.p), -e, self.p)
+        return v
+
+    def exponent(self):
+        if self.peek() == "(":
+            self.next()
+            e = self.exponent()
+            self.expect(")")
+            return e
+        sign = 1
+        if self.peek() == "-":
+            self.next()
+            sign = -1
+        tok, pos = self.next()
+        if not tok.isdigit():
+            raise ParseError(
+                f"expected integer exponent at column {pos} in {self.text!r}")
+        return sign * int(tok)
+
+    def atom(self):
+        tok, pos = self.next()
+        if tok.isdigit():
+            return int(tok) % self.p
+        if tok == "(":
+            v = self.expr()
+            self.expect(")")
+            return v
+        if tok[0].isalpha() or tok[0] == "_":
+            if tok not in self.env:
+                raise UnresolvableSymbol(
+                    f"unknown symbol {tok!r} in {self.text!r}")
+            return self.env[tok] % self.p
+        raise ParseError(f"unexpected {tok!r} at column {pos} in {self.text!r}")
+
+
+def eval_expr_by_descent(text, env, p):
+    return _ExprParser(str(text), env, p).parse()

@@ -84,12 +84,6 @@ def test_is_geproci_rejects_bad_degrees():
         is_geproci(cfg.points, 0, 3)
 
 
-def test_is_geproci_prime_mismatch():
-    cfg = named("d4")
-    with pytest.raises(ValueError):
-        is_geproci(cfg.points, 3, 4, prime=101)
-
-
 # ---------------------------------------------------------------------------
 # grid taxonomy
 

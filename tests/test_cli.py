@@ -97,6 +97,19 @@ def test_check_ci222_no(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "No"
 
 
+@pytest.mark.parametrize("label,a,b,dim", [("e7", 3, 21, 6),
+                                           ("b3config", 1, 9, 2)])
+def test_check_geproci_rejects_points_outside_p3(tmp_path, capsys, label, a,
+                                                 b, dim):
+    path = tmp_path / f"{label}.json"
+    save(named(label), str(path))
+    code = main(["check", "geproci", "-a", str(a), "-b", str(b), str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert f"P^{dim}" in err
+
+
 # ---------------------------------------------------------------------------
 # census
 
@@ -143,6 +156,18 @@ def test_weddle_member_with_probe(tmp_path, capsys):
     code, _ = run(capsys, "weddle", "member", "-d", "2",
                   "--probe", str(probe_path), path)
     assert code == 0
+
+
+def test_weddle_member_rejects_probe_in_other_space(tmp_path, d4_file,
+                                                   capsys):
+    path = tmp_path / "b3config.json"
+    save(named("b3config"), str(path))
+    code = main(["weddle", "member", "-d", "2", "--probe", d4_file,
+                 str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "P^3" in err and "P^2" in err
 
 
 def test_weddle_member_computes_generic_rank_once(tmp_path, capsys,

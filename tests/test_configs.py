@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geproci import configs
 from geproci.configs import (
@@ -25,6 +27,8 @@ from geproci.configs import (
     z56,
 )
 from geproci.field import make_field, order_constraint
+
+from oracles import eval_expr_by_descent
 
 P = 1073741827
 
@@ -57,6 +61,47 @@ def test_eval_expr_parse_errors():
     for bad in ["1+", "(1+2", "2^^3", "*3", ""]:
         with pytest.raises(ParseError):
             eval_expr(bad, {}, P)
+
+
+# 'w' is never bound, 'z' is bound to 0 (division by zero, zero to a
+# negative power) and '$' is outside the grammar
+_ENV = {"u": 5, "t": 12, "z": 0}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789utzw_+-*/^() $", max_size=14),
+       st.sampled_from([7, 101, P]))
+@example("-u^2*t/(u-z)--2^(-3)", P)
+@example("z^(-1)+w", 101)
+@example("w/0", 101)
+@example("1/z*w", 101)
+@example("w+", 7)
+def test_eval_expr_matches_descent_oracle(text, p):
+    got = _outcome(eval_expr, text, _ENV, p)
+    want = _outcome(eval_expr_by_descent, text, _ENV, p)
+    if want is UnresolvableSymbol and got is ParseError:
+        # malformed and naming an unknown symbol: the syntax is read first
+        with pytest.raises(ParseError):
+            configs._parse(text)
+        bound = dict.fromkeys(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text), 1)
+        assert _outcome(eval_expr_by_descent, text, bound, p) is ParseError
+        return
+    assert got == want
+
+
+def test_eval_expr_parses_each_text_once():
+    configs._parse.cache_clear()
+    for p in (7, 101, P):
+        eval_expr("u^(-2)+3*u", _ENV, p)
+    info = configs._parse.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from geproci import configs, linalg
 from geproci.configs import Configuration, named
 from geproci.field import make_field
 from geproci.ks import is_ks_set, ortho_graph
@@ -54,12 +55,25 @@ def test_single_basis_is_colorable():
     assert not ks_by_assignments(g)
 
 
-@pytest.mark.parametrize("label", ["rays13", "rays21", "peres33"])
+@pytest.mark.parametrize("label", ["rays13", "rays21", "peres33", "penrose"])
 def test_bases_match_subset_oracle(label):
     cfg = named(label)
     g = ortho_graph(cfg)
     rows = [list(q.coords) for q in cfg.points]
     assert g.bases == bases_by_subsets(g, rows, cfg.field.p)
+
+
+def test_graph_needs_no_reparse_and_no_rank(monkeypatch):
+    cfg = named("penrose")
+    misses = configs._parse.cache_info().misses
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("bases come from one determinant stack")
+
+    monkeypatch.setattr(linalg, "rank", no_rank)
+    g = ortho_graph(cfg)
+    assert configs._parse.cache_info().misses == misses
+    assert (len(g.edges), len(g.bases), len(g.max_cliques)) == STATS["penrose"]
 
 
 @pytest.mark.parametrize("drop", [None, *range(13)])
