@@ -2,9 +2,10 @@
 
 Every configuration is a labeled list of projective points over a
 FieldSpec whose symbols realize the constants appearing in the
-coordinates (roots of unity, quadratic irrationals). Hand-listed
-configurations keep their coordinate expression strings so files
-round-trip exactly; computed ones are saved as residue literals.
+coordinates (roots of unity, quadratic irrationals). Every configuration
+keeps an exact expression string for each coordinate, and a bare
+integer is that integer, so a saved file means the same set at every
+prime.
 """
 
 import functools
@@ -15,12 +16,9 @@ import operator
 import re
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from . import linalg
 from .field import (DEFAULT_MIN_BOUND, FieldSpec, make_field,
                     minpoly_constraint, order_constraint)
-from .projgeom import Flat, ProjPoint, flat_through, segre
+from .projgeom import Flat, ProjPoint, flat_through
 
 
 class ParseError(ValueError):
@@ -181,10 +179,14 @@ class Configuration:
     ambient_dim: int
     field: FieldSpec
     points: list                 # list of ProjPoint
-    exprs: list = None           # parallel list of coordinate expressions
+    # one row of exact coordinate expressions per point; None means the
+    # points' integer coordinates
+    exprs: list = None
     tags: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        self.exprs = self.exprs or [[str(c) for c in q.coords]
+                                    for q in self.points]
         if len(set(self.points)) != len(self.points):
             raise ValueError(f"{self.label}: repeated points")
         if any(q.ambient_dim != self.ambient_dim for q in self.points):
@@ -195,9 +197,9 @@ class Configuration:
 
     def subset(self, indices, label=None):
         pts = [self.points[i] for i in indices]
-        exprs = [self.exprs[i] for i in indices] if self.exprs else None
         return Configuration(label or self.label + "-subset",
-                             self.ambient_dim, self.field, pts, exprs,
+                             self.ambient_dim, self.field, pts,
+                             [self.exprs[i] for i in indices],
                              dict(self.tags))
 
 
@@ -212,10 +214,13 @@ class FlatUnion:
         return self.flats[0].dim
 
 
+def _points(fs, rows):
+    value = functools.cache(lambda text: eval_expr(text, fs.symbols, fs.p))
+    return [ProjPoint.make([value(str(e)) for e in row], fs.p) for row in rows]
+
+
 def _from_exprs(label, n, fs, expr_rows, tags=None):
-    pts = [ProjPoint.make([eval_expr(e, fs.symbols, fs.p) for e in row], fs.p)
-           for row in expr_rows]
-    return Configuration(label, n, fs, pts,
+    return Configuration(label, n, fs, _points(fs, expr_rows),
                          [[str(e) for e in row] for row in expr_rows],
                          tags or {})
 
@@ -301,25 +306,35 @@ _KLEIN_EXTRA24 = [
 # ---------------------------------------------------------------------------
 # constructors
 
+def _times(x, y):
+    """Text of the product of two coordinate expressions."""
+    x, y = str(x), str(y)
+    if "0" in (x, y):
+        return "0"
+    if "1" in (x, y):
+        return y if x == "1" else x
+    return "*".join(f if re.fullmatch(r"-?[\w^]+", f) else f"({f})"
+                    for f in (x, y))
+
+
 def grid(a, b, params_a, params_b, fs: FieldSpec, label=None):
     """Product of two parameter lists on the projective line, embedded on
-    the quadric surface xw = yz."""
-    pa = [ProjPoint.make(c, fs.p) for c in params_a]
-    pb = [ProjPoint.make(c, fs.p) for c in params_b]
-    if len(set(pa)) != a or len(set(pb)) != b:
+    the quadric surface xw = yz by ([s:t],[v:w]) -> [sv:sw:tv:tw]. Each
+    parameter is a pair of coordinate expressions (ints are integers)."""
+    if (len(set(_points(fs, params_a))) != a
+            or len(set(_points(fs, params_b))) != b):
         raise DuplicateParams("parameter lists must be distinct")
-    pts = [segre(x, y) for x in pa for y in pb]
-    return Configuration(label or f"grid{a}x{b}", 3, fs, pts,
-                         tags={"grid": (a, b)})
+    rows = [[_times(x, y) for x in s for y in t]
+            for s in params_a for t in params_b]
+    return _from_exprs(label or f"grid{a}x{b}", 3, fs, rows,
+                       tags={"grid": (a, b)})
 
 
 def unity_grid(a, b, min_bound=DEFAULT_MIN_BOUND):
     """An (a,b)-grid with roots-of-unity parameters on both sides."""
     m = math.lcm(a, b)
     fs = make_field([("u", order_constraint(m))], min_bound)
-    u = fs.symbols["u"]
-    pa = [(1, pow(u, (m // a) * i, fs.p)) for i in range(a)]
-    pb = [(1, pow(u, (m // b) * j, fs.p)) for j in range(b)]
+    pa, pb = ([("1", f"u^{m // k * i}") for i in range(k)] for k in (a, b))
     return grid(a, b, pa, pb, fs)
 
 
@@ -344,9 +359,8 @@ def std_construction(n, which, min_bound=DEFAULT_MIN_BOUND):
     if which == "Y1Y2" and n % 2:
         raise OddNForY1Y2("the combined extension needs even n")
     fs = make_field([("u", order_constraint(n))], min_bound)
-    cfg = _from_exprs(f"std{n}{which}", 3, fs, _std_exprs(n, which),
-                      tags={"std": (n, which)})
-    return cfg
+    return _from_exprs(f"std{n}{which}", 3, fs, _std_exprs(n, which),
+                       tags={"std": (n, which)})
 
 
 def extend_standard(cfg: Configuration):
@@ -402,138 +416,121 @@ def _int_config(label, n, rows, min_bound=DEFAULT_MIN_BOUND,
     return _from_exprs(label, n, fs, rows, tags=tags)
 
 
-def _e8_rows():
+def _root_rows(n, width):
+    """e_i + e_j and e_i - e_j for i < j < n, as rows of width texts."""
     rows = []
-    for i, j in itertools.combinations(range(8), 2):
-        for s in (1, -1):
-            v = [0] * 8
-            v[i], v[j] = 1, s
-            rows.append([str(x) for x in v])
-    for signs in itertools.product((1, -1), repeat=7):
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            rows.append(["1"] + [str(s) for s in signs])
+    for i, j in itertools.combinations(range(n), 2):
+        for s in ("1", "-1"):
+            v = ["0"] * width
+            v[i], v[j] = "1", s
+            rows.append(v)
     return rows
+
+
+def _sign_rows(k, odd):
+    """(1, s_1, ..., s_k) for the signs with an odd (or even) number of -1."""
+    return [["1"] + [str(s) for s in signs]
+            for signs in itertools.product((1, -1), repeat=k)
+            if signs.count(-1) % 2 == odd]
+
+
+def _e8_rows():
+    return _root_rows(8, 8) + _sign_rows(7, False)
 
 
 def _e7_rows():
-    out = []
-    for i, j in itertools.combinations(range(6), 2):
-        for s in (1, -1):
-            v = [0] * 7
-            v[i], v[j] = 1, s
-            out.append([str(x) for x in v])
-    v = [0] * 7
-    v[6] = 1
-    out.append([str(x) for x in v])
-    for last in (1, -1):
-        for signs in itertools.product((1, -1), repeat=5):
-            if sum(1 for s in signs if s < 0) % 2 == 1:
-                out.append(["1"] + [str(s) for s in signs] + [str(last)])
-    return out
-
-
-def _b_family_rows(k):
-    rows = []
-    for i in range(k):
-        v = [0] * k
-        v[i] = 1
-        rows.append([str(x) for x in v])
-    for i, j in itertools.combinations(range(k), 2):
-        for s in (1, -1):
-            v = [0] * k
-            v[i], v[j] = 1, s
-            rows.append([str(x) for x in v])
-    return rows
+    return (_root_rows(6, 7) + [["0"] * 6 + ["1"]]
+            + [r + [s] for s in ("1", "-1") for r in _sign_rows(5, True)])
 
 
 _GOLDEN = ("phi", minpoly_constraint([-1, -1, 1]))
 _SQRT2 = ("v", minpoly_constraint([-2, 0, 1]))
 
 
-def _generator_matrices(fs):
-    """Integer-scaled generator matrices with golden-ratio entries."""
-    p = fs.p
-    phi = fs.symbols["phi"]
-    inv_phi = (phi - 1) % p  # 1/phi = phi - 1
-    U = [[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [1, -1, -1, -1]]
-    V = [[phi, 0, -1, inv_phi], [0, phi, -inv_phi, -1],
-         [1, inv_phi, phi, 0], [-inv_phi, 1, 0, phi]]
-    W = [[inv_phi, -phi, 0, 1], [phi, inv_phi, 1, 0],
-         [0, -1, inv_phi, -phi], [-1, 0, phi, inv_phi]]
-    return (linalg.as_matrix(U, p), linalg.as_matrix(V, p),
-            linalg.as_matrix(W, p))
+# 4x4 matrices over Z[phi], each entry a pair (a, b) meaning a + b*phi,
+# written as patterns: 'p' is phi, 'q' is 1/phi = phi - 1, capitals and
+# '*' are the negatives of 'p', 'q' and 1
+_ZPHI = {"0": (0, 0), "1": (1, 0), "*": (-1, 0), "p": (0, 1),
+         "P": (0, -1), "q": (-1, 1), "Q": (1, -1)}
 
 
-def _columns_config(label, mats, fs, tags=None):
-    pts = []
-    seen = set()
-    for M in mats:
-        for c in range(4):
-            q = ProjPoint.make(M[:, c], fs.p)
-            if q not in seen:
-                seen.add(q)
-                pts.append(q)
-    return Configuration(label, 3, fs, pts, tags=tags or {})
+def _phi_matrix(rows):
+    return [[_ZPHI[ch] for ch in row] for row in rows]
+
+
+# integer-scaled generator matrices of the icosian family
+_U = _phi_matrix(["111*", "11*1", "1*11", "1***"])
+_V = _phi_matrix(["p0*q", "0pQ*", "1qp0", "Q10p"])
+_W = _phi_matrix(["qP01", "pq10", "0*qP", "*0pq"])
+_T = _phi_matrix(["1*00", "**00", "00**", "00*1"])
+
+
+def _phi_mat_mul(A, B):
+    """Exact product over Z[phi], with phi^2 = phi + 1."""
+    out = []
+    for row in A:
+        out.append([])
+        for col in zip(*B):
+            s0 = s1 = 0
+            for (a, b), (c, d) in zip(row, col):
+                s0 += a * c + b * d
+                s1 += a * d + b * c + b * d
+            out[-1].append((s0, s1))
+    return out
+
+
+def _powers(M, count):
+    out = [_phi_matrix(["1000", "0100", "0010", "0001"])]
+    while len(out) < count:
+        out.append(_phi_mat_mul(M, out[-1]))
+    return out
+
+
+def _phi_text(a, b):
+    if not b:
+        return str(a)
+    return f"{b}*phi" if not a else f"{a}{b:+d}*phi"
+
+
+def _product_columns(label, fs, *factors):
+    """The columns of every product F1 F2 ... Fk, one factor from each list
+    of matrices, the first list outermost, as points with Z[phi] texts."""
+    mats = factors[-1]
+    for powers in reversed(factors[:-1]):
+        mats = [_phi_mat_mul(P, M) for P in powers for M in mats]
+    rows = [[_phi_text(*x) for x in col] for M in mats for col in zip(*M)]
+    return _from_exprs(label, 3, fs, rows)
 
 
 def rays300(min_bound=DEFAULT_MIN_BOUND):
-    """300 rays generated as matrix columns from the icosian generators."""
+    """300 rays: the columns of W^n V^m U^l, n, m < 5 and l < 3, for the
+    icosian generators."""
     fs = make_field([_GOLDEN], min_bound)
-    p = fs.p
-    U, V, W = _generator_matrices(fs)
-    mats = []
-    for nn in range(5):
-        for m in range(5):
-            for l in range(3):
-                M = np.eye(4, dtype=np.int64)
-                for _ in range(l):
-                    M = linalg.mat_mul(U, M, p)
-                for _ in range(m):
-                    M = linalg.mat_mul(V, M, p)
-                for _ in range(nn):
-                    M = linalg.mat_mul(W, M, p)
-                mats.append(M)
-    return _columns_config("rays300", mats, fs)
+    return _product_columns("rays300", fs, _powers(_W, 5),
+                            _powers(_V, 5), _powers(_U, 3))
 
 
 def points120(min_bound=DEFAULT_MIN_BOUND):
-    """The 120-point configuration from the extended generator family."""
+    """The 120-point configuration: the columns of V^k T^i U^j, k < 5,
+    i < 2 and j < 3, from the extended generator family."""
     fs = make_field([_GOLDEN, _SQRT2], min_bound)
-    p = fs.p
-    U, V, _ = _generator_matrices(fs)
-    T = linalg.as_matrix(
-        [[1, -1, 0, 0], [-1, -1, 0, 0], [0, 0, -1, -1], [0, 0, -1, 1]], p)
-    mats = []
-    for k in range(5):
-        for i in range(2):
-            for j in range(3):
-                M = np.eye(4, dtype=np.int64)
-                for _ in range(j):
-                    M = linalg.mat_mul(U, M, p)
-                for _ in range(i):
-                    M = linalg.mat_mul(T, M, p)
-                for _ in range(k):
-                    M = linalg.mat_mul(V, M, p)
-                mats.append(M)
-    return _columns_config("points120", mats, fs)
+    return _product_columns("points120", fs, _powers(_V, 5),
+                            _powers(_T, 2), _powers(_U, 3))
 
 
 def klein(min_bound=DEFAULT_MIN_BOUND):
     """60 points: the extended fourth-roots configuration plus a (4,6)-grid
     on the twin quadric xw + yz = 0."""
     base = extend_standard(std_construction(4, "Y1Y2", min_bound))
-    rows = [list(e) for e in base.exprs] + [list(r) for r in _KLEIN_EXTRA24]
-    return _from_exprs("klein", 3, base.field, rows, tags={"klein": True})
+    return _from_exprs("klein", 3, base.field, base.exprs + _KLEIN_EXTRA24,
+                       tags={"klein": True})
 
 
 def klein_grid66(min_bound=DEFAULT_MIN_BOUND):
     """The (6,6)-grid inside the Klein configuration (the 36 points on
     xw = yz), as row-major grid points."""
     fs = make_field([("u", order_constraint(4))], min_bound)
-    p = fs.p
-    u = fs.symbols["u"]
-    params = [(1, 1), (1, u), (1, pow(u, 2, p)), (1, pow(u, 3, p)),
-              (1, 0), (0, 1)]
+    params = [("1", f"u^{k}") for k in range(4)] + [("1", "0"), ("0", "1")]
     return grid(6, 6, params, params, fs, label="klein-grid66")
 
 
@@ -541,10 +538,10 @@ def klein_memory(min_bound=DEFAULT_MIN_BOUND):
     """27-point subset of the Klein configuration: the staircase part of
     its (6,6)-grid plus one off-quadric point."""
     g = klein_grid66(min_bound)
-    idx = [6 * i + j for i in range(6) for j in range(6) if i + j <= 6]
-    pts = [g.points[k] for k in idx]
-    extra = ProjPoint.make((1, 0, 0, 1), g.field.p)
-    return Configuration("klein-memory", 3, g.field, pts + [extra])
+    rows = [g.exprs[6 * i + j] for i in range(6) for j in range(6)
+            if i + j <= 6]
+    return _from_exprs("klein-memory", 3, g.field,
+                       rows + [["1", "0", "0", "1"]])
 
 
 def h4(min_bound=DEFAULT_MIN_BOUND):
@@ -565,10 +562,8 @@ def penrose(min_bound=DEFAULT_MIN_BOUND):
 
 
 def half_penrose(min_bound=DEFAULT_MIN_BOUND):
-    cfg = penrose(min_bound)
-    out = cfg.subset([i - 1 for i in HALF_PENROSE_INDICES],
-                     label="half-penrose")
-    return out
+    return penrose(min_bound).subset([i - 1 for i in HALF_PENROSE_INDICES],
+                                     label="half-penrose")
 
 
 _Z56_ROWS = {1: (0, 1, 2, 3), 2: (0, 1, 3, 4), 3: (0, 2, 3, 4)}
@@ -617,7 +612,9 @@ def named(label, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
     m = re.fullmatch(r"b(\d+)", label)
     if m:
         k = int(m.group(1))
-        return _int_config(label, k - 1, _b_family_rows(k), min_bound)
+        units = [["1" if j == i else "0" for j in range(k)]
+                 for i in range(k)]
+        return _int_config(label, k - 1, units + _root_rows(k, k), min_bound)
     raise UnknownLabel(label)
 
 
@@ -636,19 +633,32 @@ def _symbols_json(fs: FieldSpec):
 
 
 def save(cfg: Configuration, path):
-    if cfg.exprs is not None:
-        rows = [[str(e) for e in row] for row in cfg.exprs]
-    else:
-        rows = [[str(c) for c in q.coords] for q in cfg.points]
     doc = {
         "label": cfg.label,
         "ambient_dim": cfg.ambient_dim,
         "symbols": _symbols_json(cfg.field),
-        "points": rows,
+        "points": cfg.exprs,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _symbol_problem(sym, seen):
+    """What is wrong with one entry of a file's symbols, or None."""
+    if (not isinstance(sym, dict) or not isinstance(sym.get("name"), str)
+            or ("order" in sym) == ("minpoly" in sym)):
+        return ("must be an object with a string 'name' and exactly one of "
+                "'order' and 'minpoly'")
+    if sym["name"] in seen:
+        return f"repeats the name {sym['name']!r}"
+    order, poly = sym.get("order", 1), sym.get("minpoly", [0, 0, 1])
+    if type(order) is not int or order < 1:
+        return f"'order' must be a positive integer, not {order!r}"
+    if (not isinstance(poly, list) or len(poly) != 3 or poly[2] != 1
+            or any(type(c) is not int for c in poly)):
+        return f"'minpoly' must be a list [c0, c1, 1] of integers, not {poly}"
+    return None
 
 
 def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
@@ -673,19 +683,14 @@ def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
     symbols = doc.get("symbols", [])
     if not isinstance(symbols, list):
         raise ParseError(f"{path}: 'symbols' must be a list")
-    named_constraints = []
+    constraints = {}
     for i, sym in enumerate(symbols):
-        if (not isinstance(sym, dict) or not isinstance(sym.get("name"), str)
-                or ("order" in sym) == ("minpoly" in sym)):
-            raise ParseError(f"{path}: symbols[{i}] must be an object with "
-                             f"a string 'name' and exactly one of 'order' "
-                             f"and 'minpoly'")
-        if "order" in sym:
-            named_constraints.append(
-                (sym["name"], order_constraint(sym["order"])))
-        else:
-            named_constraints.append(
-                (sym["name"], minpoly_constraint(sym["minpoly"])))
-    fs = make_field(named_constraints, min_bound)
+        problem = _symbol_problem(sym, constraints)
+        if problem:
+            raise ParseError(f"{path}: symbols[{i}] {problem}")
+        constraints[sym["name"]] = (
+            order_constraint(sym["order"]) if "order" in sym
+            else minpoly_constraint(sym["minpoly"]))
+    fs = make_field(constraints.items(), min_bound)
     return _from_exprs(doc.get("label", "config"), doc["ambient_dim"], fs,
                        doc["points"])

@@ -63,8 +63,6 @@ def _maximal_cliques(n, adj):
 def _coord_rows(cfg, fs, conj=False):
     """Coordinate rows of the configuration over the field fs, with the
     symbols optionally replaced by their conjugates."""
-    if cfg.exprs is None:
-        return [list(q.coords) for q in cfg.points]
     env = ({name: fs.conjugate(name) for name in fs.symbols} if conj
            else fs.symbols)
     return [[eval_expr(e, env, fs.p) for e in row] for row in cfg.exprs]
@@ -81,14 +79,11 @@ def _edge_set(cfg, fs):
 
 def ortho_graph(X: Configuration, seed=0) -> OrthoGraph:
     """Orthogonality graph of the configuration, edges confirmed under
-    two primes when the points carry coordinate expressions (points
-    without them cannot be carried to another prime). The second prime
-    is the next suitable one, so seed does not change the result."""
+    two primes: its coordinate expressions are evaluated again over the
+    next suitable prime, so seed does not change the result."""
     n = len(X.points)
-    fields = [X.field]
-    if X.exprs is not None:
-        fields.append(make_field(list(X.field.constraints.items()),
-                                 min_bound=X.field.p + 1))
+    fields = [X.field, make_field(list(X.field.constraints.items()),
+                                  min_bound=X.field.p + 1)]
     edges = set.intersection(*(_edge_set(X, fs) for fs in fields))
     adj = {i: set() for i in range(n)}
     for e in edges:

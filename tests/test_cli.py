@@ -58,6 +58,23 @@ def test_construct_grid_and_std(tmp_path, capsys):
         assert len(json.load(fh)["points"]) == 12
 
 
+def test_saved_rays300_keeps_the_library_ks_verdict(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert run(capsys, "construct", "rays300", "-o", path)[0] == 0
+    code, out = run(capsys, "--json", "ks", path)
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert (data["edges"], data["bases"]) == (4050, 675)
+
+
+def test_saved_grid_is_geproci_at_another_prime(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert run(capsys, "construct", "grid", "-a", "3", "-b", "4",
+               "-o", path)[0] == 0
+    assert run(capsys, "check", "geproci", "-a", "3", "-b", "4",
+               "--prime", "2000000000", path)[0] == 0
+
+
 def test_construct_unknown_label(tmp_path, capsys):
     code, _ = run(capsys, "construct", "nonesuch",
                   "-o", str(tmp_path / "x.json"))
@@ -389,6 +406,22 @@ def test_bad_symbol_entry_is_usage_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert str(path) in err and "symbols[0]" in err
+
+
+@pytest.mark.parametrize("sym", [
+    {"name": "u", "order": 3},
+    {"name": "w", "order": 0},
+    {"name": "w", "minpoly": [-2, 0]},
+], ids=["repeated-name", "order-zero", "minpoly-too-short"])
+def test_ambiguous_or_invalid_symbol_is_usage_error(tmp_path, capsys, sym):
+    path = tmp_path / "symbols.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "points": [["1", "u", "0"]],
+                                "symbols": [{"name": "u", "order": 5}, sym]}))
+    code = main(["census", "lines", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {path}: symbols[1] ")
 
 
 def test_bad_point_row_is_usage_error(tmp_path, capsys):

@@ -27,6 +27,7 @@ from geproci.configs import (
     z56,
 )
 from geproci.field import make_field, order_constraint
+from geproci.projgeom import ProjPoint
 
 from oracles import eval_expr_by_descent
 
@@ -232,6 +233,53 @@ def test_round_trip_residue_configuration(tmp_path):
     assert back.points == cfg.points
 
 
+# every named label, b5, each kind `geproci construct` builds with its
+# default options, and the Klein memory subset
+_BUILDERS = {label: (lambda mb, label=label: named(label, mb))
+             for label in list(configs._named_builders()) + ["b5"]}
+_BUILDERS.update({
+    "grid": lambda mb: unity_grid(3, 4, mb),
+    "std": lambda mb: std_construction(4, "Y1", mb),
+    "extend": lambda mb: extend_standard(std_construction(4, "Y1", mb)),
+    "klein_memory": klein_memory,
+})
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_saved_file_means_the_same_set_at_another_prime(tmp_path, name):
+    build = _BUILDERS[name]
+    path = tmp_path / "cfg.json"
+    save(build(configs.DEFAULT_MIN_BOUND), str(path))
+    back = load(str(path), min_bound=2_000_000_000)
+    want = build(2_000_000_000)
+    assert back.field.p == want.field.p
+    assert back.points == want.points
+
+
+def _bare_configuration():
+    fs = make_field([])
+    pts = [ProjPoint.make(c, fs.p)
+           for c in ([1, 2, 3], [0, 1, fs.p - 1], [5, 7, 11])]
+    return Configuration("bare", 2, fs, pts)
+
+
+def test_bare_configuration_exprs_are_its_coordinates():
+    cfg = _bare_configuration()
+    assert cfg.exprs == [[str(c) for c in q.coords] for q in cfg.points]
+    assert cfg.subset([2, 0]).exprs == [cfg.exprs[2], cfg.exprs[0]]
+
+
+def test_save_of_bare_configuration_writes_its_coordinates(tmp_path):
+    cfg = _bare_configuration()
+    path = tmp_path / "bare.json"
+    save(cfg, str(path))
+    rows = [[str(c) for c in q.coords] for q in cfg.points]
+    assert path.read_text() == json.dumps(
+        {"label": "bare", "ambient_dim": 2, "symbols": [], "points": rows},
+        indent=1) + "\n"
+    assert load(str(path)).points == cfg.points
+
+
 def test_saved_schema_fields(tmp_path):
     cfg = named("d4")
     path = tmp_path / "d4.json"
@@ -260,6 +308,12 @@ def _with_symbol(sym):
     (_with_symbol({"name": "w", "order": 4, "minpoly": [-2, 0, 1]}),
      "symbols[1]"),
     (_with_symbol("w"), "symbols[1]"),
+    (_with_symbol({"name": "i", "order": 3}), "symbols[1] repeats"),
+    (_with_symbol({"name": "w", "order": 0}), "symbols[1] 'order'"),
+    (_with_symbol({"name": "w", "order": "3"}), "symbols[1] 'order'"),
+    (_with_symbol({"name": "w", "minpoly": [-2, 0]}), "symbols[1] 'minpoly'"),
+    (_with_symbol({"name": "w", "minpoly": [-2, 0, 2]}),
+     "symbols[1] 'minpoly'"),
     ({"ambient_dim": 2, "points": [["1", "0", "0"], ["1", "0"]]},
      "points[1] must be a list of 3 coordinates"),
     ({"ambient_dim": 3, "points": [["1", "0", "0", "0"], "1000"]},
@@ -267,6 +321,8 @@ def _with_symbol(sym):
 ], ids=["top-level-list", "missing-ambient-dim", "empty-points",
         "symbols-not-a-list", "symbol-missing-name", "symbol-non-string-name",
         "symbol-neither-key", "symbol-both-keys", "symbol-non-object",
+        "symbol-repeated-name", "symbol-order-zero", "symbol-order-text",
+        "symbol-minpoly-too-short", "symbol-minpoly-not-monic",
         "point-row-too-short", "point-row-not-a-list"])
 def test_load_rejects_bad_top_level_shape(tmp_path, doc, field):
     path = tmp_path / "bad.json"

@@ -55,6 +55,13 @@ def test_single_basis_is_colorable():
     assert not ks_by_assignments(g)
 
 
+def test_single_basis_edges_are_confirmed_at_a_second_prime():
+    g = ortho_graph(single_basis())
+    assert len(set(g.primes)) == 2
+    assert len(g.edges) == 6
+    assert not is_ks_set(g)
+
+
 @pytest.mark.parametrize("label", ["rays13", "rays21", "peres33", "penrose"])
 def test_bases_match_subset_oracle(label):
     cfg = named(label)
