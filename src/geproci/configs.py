@@ -15,6 +15,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .field import (DEFAULT_MIN_BOUND, FieldSpec, make_field,
                     minpoly_constraint, order_constraint)
@@ -170,6 +171,21 @@ def eval_expr(text, env, p) -> int:
         raise type(exc)(f"{exc} in {text!r}") from None
 
 
+def _fraction_text(r, p):
+    """Text of the fraction a/b with |a|, |b| < sqrt(p/2) that is r mod p,
+    by rational reconstruction (the extended Euclidean algorithm stopped
+    halfway). Such a fraction is unique; ValueError when none exists."""
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, r % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        raise ValueError(f"{r} mod {p} is no fraction a/b with |a|, |b| <= "
+                         f"{bound}; give the points' coordinate expressions")
+    return str(Fraction(r1, t1))
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -180,12 +196,13 @@ class Configuration:
     field: FieldSpec
     points: list                 # list of ProjPoint
     # one row of exact coordinate expressions per point; None means the
-    # points' integer coordinates
+    # fractions a/b with |a|, |b| < sqrt(p/2) that the points' residues
+    # reconstruct to (points whose residues have none need exprs)
     exprs: list = None
     tags: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.exprs = self.exprs or [[str(c) for c in q.coords]
+        self.exprs = self.exprs or [[_fraction_text(c, q.p) for c in q.coords]
                                     for q in self.points]
         if len(set(self.points)) != len(self.points):
             raise ValueError(f"{self.label}: repeated points")
@@ -359,8 +376,9 @@ def std_construction(n, which, min_bound=DEFAULT_MIN_BOUND):
     if which == "Y1Y2" and n % 2:
         raise OddNForY1Y2("the combined extension needs even n")
     fs = make_field([("u", order_constraint(n))], min_bound)
-    return _from_exprs(f"std{n}{which}", 3, fs, _std_exprs(n, which),
-                       tags={"std": (n, which)})
+    cfg = _from_exprs(f"std{n}{which}", 3, fs, _std_exprs(n, which),
+                      tags={"std": (n, which)})
+    return cfg
 
 
 def extend_standard(cfg: Configuration):
@@ -416,31 +434,48 @@ def _int_config(label, n, rows, min_bound=DEFAULT_MIN_BOUND,
     return _from_exprs(label, n, fs, rows, tags=tags)
 
 
-def _root_rows(n, width):
-    """e_i + e_j and e_i - e_j for i < j < n, as rows of width texts."""
+def _e8_rows():
     rows = []
-    for i, j in itertools.combinations(range(n), 2):
-        for s in ("1", "-1"):
-            v = ["0"] * width
-            v[i], v[j] = "1", s
-            rows.append(v)
+    for i, j in itertools.combinations(range(8), 2):
+        for s in (1, -1):
+            v = [0] * 8
+            v[i], v[j] = 1, s
+            rows.append([str(x) for x in v])
+    for signs in itertools.product((1, -1), repeat=7):
+        if sum(1 for s in signs if s < 0) % 2 == 0:
+            rows.append(["1"] + [str(s) for s in signs])
     return rows
 
 
-def _sign_rows(k, odd):
-    """(1, s_1, ..., s_k) for the signs with an odd (or even) number of -1."""
-    return [["1"] + [str(s) for s in signs]
-            for signs in itertools.product((1, -1), repeat=k)
-            if signs.count(-1) % 2 == odd]
-
-
-def _e8_rows():
-    return _root_rows(8, 8) + _sign_rows(7, False)
-
-
 def _e7_rows():
-    return (_root_rows(6, 7) + [["0"] * 6 + ["1"]]
-            + [r + [s] for s in ("1", "-1") for r in _sign_rows(5, True)])
+    out = []
+    for i, j in itertools.combinations(range(6), 2):
+        for s in (1, -1):
+            v = [0] * 7
+            v[i], v[j] = 1, s
+            out.append([str(x) for x in v])
+    v = [0] * 7
+    v[6] = 1
+    out.append([str(x) for x in v])
+    for last in (1, -1):
+        for signs in itertools.product((1, -1), repeat=5):
+            if sum(1 for s in signs if s < 0) % 2 == 1:
+                out.append(["1"] + [str(s) for s in signs] + [str(last)])
+    return out
+
+
+def _b_family_rows(k):
+    rows = []
+    for i in range(k):
+        v = [0] * k
+        v[i] = 1
+        rows.append([str(x) for x in v])
+    for i, j in itertools.combinations(range(k), 2):
+        for s in (1, -1):
+            v = [0] * k
+            v[i], v[j] = 1, s
+            rows.append([str(x) for x in v])
+    return rows
 
 
 _GOLDEN = ("phi", minpoly_constraint([-1, -1, 1]))
@@ -522,8 +557,8 @@ def klein(min_bound=DEFAULT_MIN_BOUND):
     """60 points: the extended fourth-roots configuration plus a (4,6)-grid
     on the twin quadric xw + yz = 0."""
     base = extend_standard(std_construction(4, "Y1Y2", min_bound))
-    return _from_exprs("klein", 3, base.field, base.exprs + _KLEIN_EXTRA24,
-                       tags={"klein": True})
+    rows = [list(e) for e in base.exprs] + [list(r) for r in _KLEIN_EXTRA24]
+    return _from_exprs("klein", 3, base.field, rows, tags={"klein": True})
 
 
 def klein_grid66(min_bound=DEFAULT_MIN_BOUND):
@@ -562,8 +597,10 @@ def penrose(min_bound=DEFAULT_MIN_BOUND):
 
 
 def half_penrose(min_bound=DEFAULT_MIN_BOUND):
-    return penrose(min_bound).subset([i - 1 for i in HALF_PENROSE_INDICES],
-                                     label="half-penrose")
+    cfg = penrose(min_bound)
+    out = cfg.subset([i - 1 for i in HALF_PENROSE_INDICES],
+                     label="half-penrose")
+    return out
 
 
 _Z56_ROWS = {1: (0, 1, 2, 3), 2: (0, 1, 3, 4), 3: (0, 2, 3, 4)}
@@ -612,9 +649,7 @@ def named(label, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
     m = re.fullmatch(r"b(\d+)", label)
     if m:
         k = int(m.group(1))
-        units = [["1" if j == i else "0" for j in range(k)]
-                 for i in range(k)]
-        return _int_config(label, k - 1, units + _root_rows(k, k), min_bound)
+        return _int_config(label, k - 1, _b_family_rows(k), min_bound)
     raise UnknownLabel(label)
 
 
@@ -644,23 +679,6 @@ def save(cfg: Configuration, path):
         fh.write("\n")
 
 
-def _symbol_problem(sym, seen):
-    """What is wrong with one entry of a file's symbols, or None."""
-    if (not isinstance(sym, dict) or not isinstance(sym.get("name"), str)
-            or ("order" in sym) == ("minpoly" in sym)):
-        return ("must be an object with a string 'name' and exactly one of "
-                "'order' and 'minpoly'")
-    if sym["name"] in seen:
-        return f"repeats the name {sym['name']!r}"
-    order, poly = sym.get("order", 1), sym.get("minpoly", [0, 0, 1])
-    if type(order) is not int or order < 1:
-        return f"'order' must be a positive integer, not {order!r}"
-    if (not isinstance(poly, list) or len(poly) != 3 or poly[2] != 1
-            or any(type(c) is not int for c in poly)):
-        return f"'minpoly' must be a list [c0, c1, 1] of integers, not {poly}"
-    return None
-
-
 def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -685,12 +703,20 @@ def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
         raise ParseError(f"{path}: 'symbols' must be a list")
     constraints = {}
     for i, sym in enumerate(symbols):
-        problem = _symbol_problem(sym, constraints)
-        if problem:
-            raise ParseError(f"{path}: symbols[{i}] {problem}")
-        constraints[sym["name"]] = (
-            order_constraint(sym["order"]) if "order" in sym
-            else minpoly_constraint(sym["minpoly"]))
+        if (not isinstance(sym, dict) or not isinstance(sym.get("name"), str)
+                or ("order" in sym) == ("minpoly" in sym)):
+            raise ParseError(f"{path}: symbols[{i}] must be an object with "
+                             f"a string 'name' and exactly one of 'order' "
+                             f"and 'minpoly'")
+        if sym["name"] in constraints:
+            raise ParseError(
+                f"{path}: symbols[{i}] repeats the name {sym['name']!r}")
+        try:
+            constraints[sym["name"]] = (
+                order_constraint(sym["order"]) if "order" in sym
+                else minpoly_constraint(sym["minpoly"]))
+        except ValueError as exc:
+            raise ParseError(f"{path}: symbols[{i}] {exc}") from None
     fs = make_field(constraints.items(), min_bound)
     return _from_exprs(doc.get("label", "config"), doc["ambient_dim"], fs,
                        doc["points"])

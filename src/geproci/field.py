@@ -8,6 +8,7 @@ The prime is chosen so every constraint is satisfiable, which lets the
 rest of the package do exact linear algebra with plain integers.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -99,14 +100,17 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 def order_constraint(n: int):
-    return ("order", int(n))
+    if type(n) is not int or n < 1:
+        raise ValueError(f"'order' must be a positive integer, not {n!r}")
+    return ("order", n)
 
 
 def minpoly_constraint(coeffs):
     """Monic quadratic constraint from ascending coefficients [c0, c1, 1]."""
-    coeffs = [int(c) for c in coeffs]
-    if len(coeffs) != 3 or coeffs[2] != 1:
-        raise ValueError("only monic quadratic minimal polynomials are supported")
+    if (not isinstance(coeffs, (list, tuple)) or len(coeffs) != 3
+            or coeffs[2] != 1 or any(type(c) is not int for c in coeffs)):
+        raise ValueError(f"'minpoly' must be a list [c0, c1, 1] of integers "
+                         f"(only monic quadratics), not {coeffs!r}")
     return ("minpoly", (coeffs[0], coeffs[1]))
 
 
@@ -223,3 +227,14 @@ def make_field(named_constraints,
     p = choose_prime([c for _, c in named], min_bound=min_bound)
     resolved = {name: resolve_symbol(p, c) for name, c in named}
     return FieldSpec(p=p, symbols=resolved, constraints=dict(named))
+
+
+def second_field(fs: FieldSpec) -> FieldSpec:
+    """The constraints of fs over a second prime: the next suitable one
+    above fs.p, or the nearest one below it when none lies above."""
+    constraints = list(fs.constraints.values())
+    for p in itertools.chain(range(fs.p + 1, PRIME_LIMIT),
+                             range(fs.p - 1, 100, -1)):
+        if is_prime(p) and all(_constraint_ok(p, c) for c in constraints):
+            return make_field(fs.constraints.items(), min_bound=p)
+    raise ValueError(f"no suitable prime in [101, 2**31) besides {fs.p}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .combinat import exact_covers
 from .configs import Configuration, eval_expr
-from .field import make_field
+from .field import second_field
 from .projgeom import _minors
 
 
@@ -80,10 +80,10 @@ def _edge_set(cfg, fs):
 def ortho_graph(X: Configuration, seed=0) -> OrthoGraph:
     """Orthogonality graph of the configuration, edges confirmed under
     two primes: its coordinate expressions are evaluated again over the
-    next suitable prime, so seed does not change the result."""
+    next suitable prime (the nearest one below when none lies above), so
+    seed does not change the result."""
     n = len(X.points)
-    fields = [X.field, make_field(list(X.field.constraints.items()),
-                                  min_bound=X.field.p + 1)]
+    fields = [X.field, second_field(X.field)]
     edges = set.intersection(*(_edge_set(X, fs) for fs in fields))
     adj = {i: set() for i in range(n)}
     for e in edges:

@@ -31,7 +31,9 @@ def save_random(tmp_path, count, dim, seed, name="rand.json"):
         if q not in pts:
             pts.append(q)
     path = tmp_path / name
-    save(Configuration("random", dim, fs, pts), str(path))
+    # the points are the integer vectors of their residues
+    rows = [[str(c) for c in q.coords] for q in pts]
+    save(Configuration("random", dim, fs, pts, rows), str(path))
     return str(path)
 
 
@@ -169,7 +171,8 @@ def test_weddle_member_with_probe(tmp_path, capsys):
     on_line = ProjPoint.make(
         [(x + 3 * y) % p for x, y in zip(q1.coords, q2.coords)], p)
     probe_path = tmp_path / "probe.json"
-    save(cfg("probe", 3, base.field, [on_line]), str(probe_path))
+    save(cfg("probe", 3, base.field, [on_line],
+             [[str(c) for c in on_line.coords]]), str(probe_path))
     code, _ = run(capsys, "weddle", "member", "-d", "2",
                   "--probe", str(probe_path), path)
     assert code == 0
@@ -295,7 +298,8 @@ def test_cbp_both_modes(tmp_path, capsys):
 
     pts = [segre(rp(2), rp(2)) for _ in range(10)] + [rp(4)]
     path = tmp_path / "qa.json"
-    save(Configuration("quadric_plus_apex", 3, fs, pts), str(path))
+    rows = [[str(c) for c in q.coords] for q in pts]
+    save(Configuration("quadric_plus_apex", 3, fs, pts, rows), str(path))
     assert run(capsys, "cbp", path)[0] == 0
     assert run(capsys, "cbp", "--ambient", path)[0] == 1
 

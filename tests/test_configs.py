@@ -1,5 +1,8 @@
 import json
+import math
+import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -259,25 +262,56 @@ def test_saved_file_means_the_same_set_at_another_prime(tmp_path, name):
 def _bare_configuration():
     fs = make_field([])
     pts = [ProjPoint.make(c, fs.p)
-           for c in ([1, 2, 3], [0, 1, fs.p - 1], [5, 7, 11])]
+           for c in ([1, 2, 3], [0, 1, -1], [5, 7, 11])]
     return Configuration("bare", 2, fs, pts)
 
 
-def test_bare_configuration_exprs_are_its_coordinates():
+_BARE_ROWS = [["1", "2", "3"], ["0", "1", "-1"], ["1", "7/5", "11/5"]]
+
+
+def test_bare_configuration_exprs_are_its_fractions():
     cfg = _bare_configuration()
-    assert cfg.exprs == [[str(c) for c in q.coords] for q in cfg.points]
+    assert cfg.exprs == _BARE_ROWS
     assert cfg.subset([2, 0]).exprs == [cfg.exprs[2], cfg.exprs[0]]
 
 
-def test_save_of_bare_configuration_writes_its_coordinates(tmp_path):
+def test_save_of_bare_configuration_writes_its_fractions(tmp_path):
     cfg = _bare_configuration()
     path = tmp_path / "bare.json"
     save(cfg, str(path))
-    rows = [[str(c) for c in q.coords] for q in cfg.points]
     assert path.read_text() == json.dumps(
-        {"label": "bare", "ambient_dim": 2, "symbols": [], "points": rows},
-        indent=1) + "\n"
+        {"label": "bare", "ambient_dim": 2, "symbols": [],
+         "points": _BARE_ROWS}, indent=1) + "\n"
     assert load(str(path)).points == cfg.points
+    back = load(str(path), min_bound=2_000_000_000)
+    assert back.points == [ProjPoint.make(c, back.field.p)
+                           for c in ([1, 2, 3], [0, 1, -1], [5, 7, 11])]
+
+
+def test_fraction_text_matches_a_search_over_denominators():
+    p = make_field([]).p
+    bound = math.isqrt(p // 2)
+
+    def by_search(r):
+        for b in range(1, bound + 1):
+            a = b * r % p
+            a = a - p if a > p // 2 else a
+            if abs(a) <= bound:
+                return str(Fraction(a, b))
+        return None
+
+    rng = random.Random(1)
+    found = []
+    for r in [0, 1, p - 1, (p + 1) // 2] + [rng.randrange(p)
+                                            for _ in range(16)]:
+        want = by_search(r)
+        found.append(want)
+        if want is None:
+            with pytest.raises(ValueError, match="no fraction"):
+                configs._fraction_text(r, p)
+        else:
+            assert configs._fraction_text(r, p) == want
+    assert found[:4] == ["0", "1", "-1", "1/2"] and None in found
 
 
 def test_saved_schema_fields(tmp_path):

@@ -50,16 +50,35 @@ def single_basis():
 def test_single_basis_is_colorable():
     cfg = single_basis()
     g = ortho_graph(cfg)
+    assert len(set(g.primes)) == 2
+    assert len(g.edges) == 6
     assert len(g.bases) == 1
     assert not is_ks_set(cfg)
     assert not ks_by_assignments(g)
 
 
-def test_single_basis_edges_are_confirmed_at_a_second_prime():
-    g = ortho_graph(single_basis())
+def test_integer_points_keep_their_edges_at_the_second_prime():
+    # rays13 turned by M = [[1,2,2],[2,1,-2],[2,-2,1]] (M M^T = 9 I), so
+    # the points have negative and fractional coordinates such as
+    # [5:1:1] = [1:1/5:1/5], and rebuilt from their residues alone
+    want = named("rays13")
+    M = [[1, 2, 2], [2, 1, -2], [2, -2, 1]]
+    rows = [[sum(m * int(c) for m, c in zip(r, row)) for r in M]
+            for row in configs._RAYS13]
+    fs = want.field
+    bare = Configuration("rays13-turned", 2, fs,
+                         [ProjPoint.make(row, fs.p) for row in rows])
+    assert ["1", "1/5", "1/5"] in bare.exprs
+    g, h = ortho_graph(bare), ortho_graph(want)
     assert len(set(g.primes)) == 2
-    assert len(g.edges) == 6
-    assert not is_ks_set(g)
+    assert g.edges == h.edges and g.bases == h.bases
+    assert is_ks_set(g) == is_ks_set(h)
+
+
+def test_second_prime_lies_below_the_largest_admissible_prime():
+    g = ortho_graph(named("rays13", min_bound=2**31 - 1))
+    assert g.primes[0] == 2**31 - 1 and g.primes[1] < 2**31 - 1
+    assert g.edges == ortho_graph(named("rays13")).edges
 
 
 @pytest.mark.parametrize("label", ["rays13", "rays21", "peres33", "penrose"])
