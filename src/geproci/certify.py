@@ -5,7 +5,10 @@ set is a complete intersection of two plane curves of prescribed degrees.
 All certificates are Monte Carlo over a large prime field: a "Yes" or
 "No" is backed by evidence whose failure probability per trial is at
 most a fixed degree bound divided by the field size; anything the
-evidence cannot settle comes back "Inconclusive".
+evidence cannot settle comes back "Inconclusive". The randomness is in
+where they look, not in what they compute there: in is_geproci the
+projection vertex is the one random choice, and the ideal dimensions and
+the coprimality of the two curves are exact ranks at that vertex.
 """
 
 import itertools
@@ -13,13 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from . import linalg
 from .combinat import exact_covers, line_census
 from .ideals import (coprime_plane_curves, deletion_h_vectors,
                      generated_to_next_degree, ideal_dim, ideal_kernel,
-                     interp_matrix, monomials, num_monomials, simple_scheme)
+                     interp_matrix, multiples, num_monomials, simple_scheme)
 from .projgeom import (CollisionDetected, flat_through, project_general,
                        random_point, span_dim)
 
@@ -54,21 +55,6 @@ class Decision:
         return self.verdict == YES
 
 
-def _multiples_span(F, a, b, p):
-    """Coefficient rows of m * F over the degree-(b-a) monomials m."""
-    exps_a = monomials(3, a)
-    exps_b = monomials(3, b)
-    index = {e: i for i, e in enumerate(exps_b)}
-    rows = []
-    for m in monomials(3, b - a):
-        v = np.zeros(len(exps_b), dtype=np.int64)
-        for c, e in zip(F, exps_a):
-            if c % p:
-                v[index[tuple(x + y for x, y in zip(m, e))]] = c % p
-        rows.append(v)
-    return np.stack(rows)
-
-
 def _span_test(span_rows, p):
     """(rank, outside) for the row span of span_rows: outside(V) marks the
     rows of V that lie outside it.
@@ -80,37 +66,27 @@ def _span_test(span_rows, p):
     R = R[:len(pivots)]
 
     def outside(V):
-        V = linalg.as_matrix(V, p)
-        return ((V - linalg.mat_mul(V[:, pivots], R, p)) % p).any(axis=1)
+        V = linalg.as_matrix(V, p)     # a fresh array: reduced in place
+        linalg.sub_mat_mul(V, V[:, pivots], R, p)
+        return V.any(axis=1)
 
     return len(pivots), outside
-
-
-def _complement_candidates(kernel, span_rows, p, rng, limit=5):
-    """Up to `limit` kernel vectors outside the row span of span_rows."""
-    _, outside = _span_test(span_rows, p)
-    out = [v for v, new in zip(kernel, outside(kernel)) if new][:limit]
-    attempts = 0
-    while len(out) < limit and attempts < 50:
-        attempts += 1
-        v = np.zeros_like(kernel[0])
-        for w in kernel:
-            v = (v + rng.randrange(p) * w) % p
-        if outside(v)[0]:
-            out.append(v)
-    return out
 
 
 def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
     """Whether the general projection of the points is a complete
     intersection of plane curves of degrees (a, b), with a <= b.
 
-    Per trial: project from a random vertex, check that the degree-a and
-    degree-b pieces of the image ideal have exactly the dimensions a
-    complete intersection forces, then extract candidate curves and
-    certify that they share no component. A too-small dimension is a
-    sound "No" (dimensions only jump up at special vertices); oversized
-    dimensions or failed coprimality leave the trial undecided.
+    Per trial: project from a random vertex, the one random choice, and
+    check that the degree-a and degree-b pieces of the image ideal have
+    exactly the dimensions a complete intersection forces. Then F is
+    the first degree-a form and G the second one when a = b, else the
+    first degree-b form outside F times the degree-(b - a) forms. Any
+    two such G differ by a multiple of F, so they share the same factors
+    with F, and one exact rank (coprime_plane_curves) decides whether F
+    and G share a component. A too-small dimension is a sound "No"
+    (dimensions only jump up at special vertices); oversized dimensions
+    or a shared component leave the trial undecided.
     """
     if a > b:
         raise ValueError("need a <= b")
@@ -132,8 +108,7 @@ def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
     rng = random.Random(repr((seed, "geproci")))
     expect_a = 2 if a == b else 1
     expect_b = math.comb(b - a + 2, 2) + 1
-    saw_pass = False
-    for trial in range(trials):
+    for _ in range(trials):
         try:
             images = project_general(points, rng)
         except CollisionDetected:
@@ -151,19 +126,14 @@ def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
             continue
         F = kernel_a[0]
         if a == b:
-            candidates = kernel_a[1:]
+            G = kernel_a[1]
         else:
-            span_rows = _multiples_span(F, a, b, p)
-            candidates = _complement_candidates(kernel_b, span_rows, p, rng)
-        trial_seed = rng.randrange(1 << 30)
-        if any(coprime_plane_curves(F, G, a, b, p, seed=trial_seed)
-               for G in candidates):
-            saw_pass = True
-        if saw_pass:
-            break
-    if saw_pass:
-        dec.verdict = YES
-        data["error_bound"] = f"{a * b}/{p}"
+            _, outside = _span_test(multiples(F, 3, a, b - a, p), p)
+            G = kernel_b[int(outside(kernel_b).argmax())]
+        if coprime_plane_curves(F, G, a, b, p):
+            dec.verdict = YES
+            data["error_bound"] = f"{a * b}/{p}"
+            return dec
     return dec
 
 

@@ -9,6 +9,7 @@ rest of the package do exact linear algebra with plain integers.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 
@@ -123,6 +124,23 @@ def _constraint_ok(p: int, constraint) -> bool:
     return legendre(disc, p) >= 0
 
 
+def _primes(constraints, start: int, stop: int):
+    """The primes from start towards stop (stop excluded; descending when
+    stop < start) that satisfy every constraint, in that order.
+
+    Order-n constraints need p = 1 (mod n), so only p = 1 modulo the lcm
+    L of the orders is tried: the step is L, and a range holding no such
+    p ends at once."""
+    L = math.lcm(*(data for kind, data in constraints if kind == "order"))
+    if stop > start:
+        candidates = range(start + (1 - start) % L, stop, L)
+    else:
+        candidates = range(start - (start - 1) % L, stop, -L)
+    for p in candidates:
+        if is_prime(p) and all(_constraint_ok(p, c) for c in constraints):
+            yield p
+
+
 def choose_prime(constraints, min_bound: int = DEFAULT_MIN_BOUND) -> int:
     """Smallest prime min_bound <= p < 2**31 satisfying every constraint.
 
@@ -131,14 +149,12 @@ def choose_prime(constraints, min_bound: int = DEFAULT_MIN_BOUND) -> int:
     """
     if min_bound < 100:
         raise ValueError("min_bound must be at least 100")
-    constraints = list(constraints)
-    p = max(min_bound, 101)
-    while p < PRIME_LIMIT:
-        if is_prime(p) and all(_constraint_ok(p, c) for c in constraints):
-            return p
-        p += 1
-    raise ValueError(f"no suitable prime in [{min_bound}, 2**31): primes "
-                     f"must stay below 2**31 for exact int64 arithmetic")
+    p = next(_primes(list(constraints), max(min_bound, 101), PRIME_LIMIT),
+             None)
+    if p is None:
+        raise ValueError(f"no suitable prime in [{min_bound}, 2**31): primes "
+                         f"must stay below 2**31 for exact int64 arithmetic")
+    return p
 
 
 def _factorize(n: int):
@@ -233,8 +249,8 @@ def second_field(fs: FieldSpec) -> FieldSpec:
     """The constraints of fs over a second prime: the next suitable one
     above fs.p, or the nearest one below it when none lies above."""
     constraints = list(fs.constraints.values())
-    for p in itertools.chain(range(fs.p + 1, PRIME_LIMIT),
-                             range(fs.p - 1, 100, -1)):
-        if is_prime(p) and all(_constraint_ok(p, c) for c in constraints):
-            return make_field(fs.constraints.items(), min_bound=p)
-    raise ValueError(f"no suitable prime in [101, 2**31) besides {fs.p}")
+    p = next(itertools.chain(_primes(constraints, fs.p + 1, PRIME_LIMIT),
+                             _primes(constraints, fs.p - 1, 100)), None)
+    if p is None:
+        raise ValueError(f"no suitable prime in [101, 2**31) besides {fs.p}")
+    return make_field(fs.constraints.items(), min_bound=p)

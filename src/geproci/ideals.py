@@ -7,7 +7,6 @@ is exact arithmetic mod p.
 """
 
 import math
-import random
 from functools import lru_cache
 
 import numpy as np
@@ -284,69 +283,44 @@ def form_values(coeffs, exps, coords, p):
     return (_power_rows(coords, exps, p) * c % p).sum(axis=1) % p
 
 
-def _univariate_slice(coeffs, exps, base, direction, degree, p):
-    """Coefficients of F(base + s*direction) as a polynomial in s,
-    interpolated from degree+1 sample values."""
-    line = [[(b + x * d) % p for b, d in zip(base, direction)]
-            for x in range(1, degree + 2)]
-    ys = form_values(coeffs, exps, line, p)
-    return [int(v) for v in linalg.interpolate(ys, p)]
+@lru_cache(maxsize=None)
+def _multiple_index(nvars, d, e):
+    """Positions among the degree-(d+e) monomials of m * M, one row per
+    degree-e monomial m and one column per degree-d monomial M."""
+    index = {M: i for i, M in enumerate(monomials(nvars, d + e))}
+    return np.array([[index[tuple(x + y for x, y in zip(m, M))]
+                      for M in monomials(nvars, d)]
+                     for m in monomials(nvars, e)], dtype=np.intp)
 
 
-def coprime_plane_curves(F, G, a: int, b: int, p, seed: int = 0) -> bool:
-    """Whether two ternary forms (coefficient vectors) share no factor.
+def multiples(F, nvars, d, e, p):
+    """Coefficient rows of m * F for every degree-e monomial m, in the
+    order of monomials(nvars, e), where F is a degree-d form."""
+    idx = _multiple_index(nvars, d, e)
+    out = np.zeros((len(idx), num_monomials(nvars, d + e)), dtype=np.int64)
+    out[np.arange(len(idx))[:, None], idx] = np.asarray(F, np.int64) % p
+    return out
 
-    Decided by a resultant probe: after a random coordinate change making
-    both forms monic in the last variable, the resultant with respect to
-    that variable is sampled at random points of the other two. Any
-    nonzero value certifies coprimality; identically-zero resultants
-    across 3 independent coordinate changes mean a common factor.
+
+def coprime_plane_curves(F, G, a: int, b: int, p) -> bool:
+    """Whether two ternary forms of degrees a and b (coefficient vectors)
+    share no factor.
+
+    Exact, by the Sylvester-Macaulay criterion (Cox, Little, O'Shea,
+    Using Algebraic Geometry, ch. 3): a common factor H gives AF + BG = 0
+    with A = G/H and B = -F/H, times any form of degree deg H - 1;
+    without one, AF = -BG makes F divide B, which deg B < a forbids
+    unless B = 0. So they are coprime exactly when (A, B) -> AF + BG,
+    from degrees (b - 1, a - 1) into degree a + b - 1, is injective: the
+    rows m F and n G have full rank.
     """
     F = np.asarray(F, dtype=np.int64) % p
     G = np.asarray(G, dtype=np.int64) % p
     if not F.any() or not G.any():
         raise ZeroForm("coprimality of a zero form")
-    expF = monomials(3, a)
-    expG = monomials(3, b)
-    rng = random.Random(repr((seed, "coprime")))
-    for _ in range(3):
-        # random invertible coordinate change with both forms nonzero at
-        # the image of (0,0,1)
-        for _ in range(50):
-            M = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
-            if linalg.rank(linalg.as_matrix(M, p), p) != 3:
-                continue
-            top = [M[i][2] for i in range(3)]
-            if (form_values(F, expF, [top], p)[0]
-                    and form_values(G, expG, [top], p)[0]):
-                break
-        else:
-            continue
-        for _ in range(a * b + 5):
-            x0, y0 = rng.randrange(p), rng.randrange(p)
-            base = [(M[i][0] * x0 + M[i][1] * y0) % p for i in range(3)]
-            direction = top
-            f = _univariate_slice(F, expF, base, direction, a, p)
-            g = _univariate_slice(G, expG, base, direction, b, p)
-            if _resultant(f, g, p):
-                return True
-    return False
-
-
-def _resultant(f, g, p) -> int:
-    """Resultant of two univariate polynomials given by coefficient lists
-    (ascending). Degrees are taken from the list lengths; leading
-    coefficients are assumed nonzero (arranged by the caller)."""
-    a = len(f) - 1
-    b = len(g) - 1
-    S = np.zeros((a + b, a + b), dtype=np.int64)
-    for i in range(b):
-        for j, c in enumerate(reversed(f)):
-            S[i, i + j] = c % p
-    for i in range(a):
-        for j, c in enumerate(reversed(g)):
-            S[b + i, i + j] = c % p
-    return linalg.det(S, p)
+    M = np.concatenate([multiples(F, 3, a, b - 1, p),
+                        multiples(G, 3, b, a - 1, p)])
+    return linalg.rank(M, p) == len(M)
 
 
 def generated_to_next_degree(points, d: int, p) -> bool:
@@ -362,17 +336,5 @@ def generated_to_next_degree(points, d: int, p) -> bool:
     target = ideal_dim(points, d + 1, p)
     if not basis:
         return target == 0
-    exps_d = monomials(nvars, d)
-    exps_d1 = monomials(nvars, d + 1)
-    index = {e: i for i, e in enumerate(exps_d1)}
-    rows = []
-    for F in basis:
-        for k in range(nvars):
-            v = np.zeros(len(exps_d1), dtype=np.int64)
-            for c, e in zip(F, exps_d):
-                if c % p:
-                    shifted = tuple(
-                        x + (1 if idx == k else 0) for idx, x in enumerate(e))
-                    v[index[shifted]] = c % p
-            rows.append(v)
-    return linalg.rank(np.stack(rows), p) == target
+    rows = [multiples(F, nvars, d, 1, p) for F in basis]
+    return linalg.rank(np.concatenate(rows), p) == target

@@ -9,6 +9,7 @@ multiply keeps everything exact. Its trailing update multiplies through
 float64 BLAS instead: balanced residues (|x| < 2**30) times signed 16-bit
 limbs give terms below 2**45, so a sum of up to 2**8 of them (the panel
 width PANEL = 64 bounds it) stays below 2**53, where float64 is exact.
+mat_mul is the same exact product, on a zero target.
 Pivoting always takes the first nonzero entry in a column, which makes
 every result deterministic. rank takes a wide matrix on its short side:
 with more than PANEL columns and more columns than rows it eliminates
@@ -17,7 +18,6 @@ the transpose, which has the same rank.
 
 import numpy as np
 
-MAX_INNER_DIM = 2 ** 16   # largest inner dimension mat_mul keeps exact
 PANEL = 64                # columns per panel of the blocked LU in _eliminate
 STRIP = 128               # rows per exact product of its trailing update
 LIMB_CHUNK = 2 ** 8       # inner terms per exact float64 limb product
@@ -266,19 +266,13 @@ def inv_matrix(M, p):
 
 
 def mat_mul(A, B, p):
-    """Exact A @ B mod p; splits B into 16-bit halves to dodge overflow.
-
-    A low-half dot product sums terms below 2**31 * 2**16, so it stays
-    under 2**63 only for inner dimensions up to MAX_INNER_DIM."""
+    """Exact A @ B mod p, for any inner dimension: sub_mat_mul on a zero
+    target with -A."""
     A = as_matrix(A, p)
     B = as_matrix(B, p)
-    if A.shape[1] > MAX_INNER_DIM:
-        raise ValueError(f"inner dimension {A.shape[1]} exceeds 2**16, "
-                         f"the int64 limit of the 16-bit split")
-    b_hi, b_lo = np.divmod(B, 1 << 16)
-    hi = A @ b_hi % p
-    lo = A @ b_lo % p
-    return (hi * (1 << 16) + lo) % p
+    T = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    sub_mat_mul(T, -A % p, B, p)
+    return T
 
 
 def interpolate(ys, p):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .configs import Configuration, FlatUnion
-from .ideals import interp_matrix, num_monomials
+from .ideals import ideal_dim, num_monomials
 from .projgeom import (ProjPoint, points_of_rows, project_general,
                        random_point)
 
@@ -89,14 +89,11 @@ def adim(Z, t, m, trials=2, seed=0) -> int:
     for _ in range(trials):
         pts = _condition_points(Z, t, rng)
         if t == m:
-            images = project_general(list(dict.fromkeys(pts)), rng)
-            M = interp_matrix([(q, 1) for q in images], t, p)
-            val = num_monomials(n, t) - linalg.rank(M, p)
+            val = ideal_dim(project_general(list(dict.fromkeys(pts)), rng),
+                            t, p)
         else:
             P = random_point(n + 1, p, rng)
-            scheme = [(q, 1) for q in pts] + [(P, m)]
-            M = interp_matrix(scheme, t, p)
-            val = num_monomials(n + 1, t) - linalg.rank(M, p)
+            val = ideal_dim([(q, 1) for q in pts] + [(P, m)], t, p)
         best = val if best is None else min(best, val)
     return best
 
@@ -112,11 +109,7 @@ def vdim(Z, t, m, trials=2, seed=0) -> int:
     dims = []
     for _ in range(trials):
         pts = _condition_points(Z, t, rng)
-        if not pts:
-            dims.append(total)
-            continue
-        M = interp_matrix([(q, 1) for q in pts], t, p)
-        dims.append(total - linalg.rank(M, p))
+        dims.append(ideal_dim(pts, t, p) if pts else total)
     return min(dims) - math.comb(m + n - 1, n)
 
 

@@ -11,10 +11,11 @@ import re
 
 import numpy as np
 
+from geproci import linalg
 from geproci.combinat import _collinear_triples
 from geproci.configs import ParseError, UnresolvableSymbol
-from geproci.ideals import (_h_vector, ideal_dim, interp_matrix, monomials,
-                            simple_scheme)
+from geproci.ideals import (ZeroForm, _h_vector, form_values, ideal_dim,
+                            interp_matrix, monomials, simple_scheme)
 from geproci.linalg import kernel_basis
 from geproci.projgeom import (ProjPoint, project_general, random_point,
                               spanned_flats)
@@ -155,29 +156,69 @@ def solve_vandermonde(xs, ys, p):
     return coeffs
 
 
-def complement_candidates_by_rank(kernel, span_rows, p, rng, limit=5):
-    """Up to `limit` kernel vectors outside the row span of span_rows,
-    decided by re-ranking [span_rows; v] for every candidate v, with the
-    random combinations drawn from rng exactly as the library draws them."""
-    def grows(v):
-        return (rank_det_by_columns(np.vstack([span_rows, v]), p)[0]
-                > rank_det_by_columns(span_rows, p)[0])
+def coprime_by_resultants(F, G, a, b, p, seed=0):
+    """Whether two ternary forms (coefficient vectors) share no factor.
 
-    out = []
-    for v in kernel:
-        if len(out) == limit:
-            return out
-        if grows(v):
-            out.append(v)
-    attempts = 0
-    while len(out) < limit and attempts < 50:
-        attempts += 1
-        v = np.zeros_like(kernel[0])
-        for w in kernel:
-            v = (v + rng.randrange(p) * w) % p
-        if grows(v):
-            out.append(v)
-    return out
+    Decided by a resultant probe: after a random coordinate change making
+    both forms monic in the last variable, the resultant with respect to
+    that variable is sampled at random points of the other two. Any
+    nonzero value certifies coprimality; identically-zero resultants
+    across 3 independent coordinate changes mean a common factor.
+    """
+    F = np.asarray(F, dtype=np.int64) % p
+    G = np.asarray(G, dtype=np.int64) % p
+    if not F.any() or not G.any():
+        raise ZeroForm("coprimality of a zero form")
+    expF = monomials(3, a)
+    expG = monomials(3, b)
+    rng = random.Random(repr((seed, "coprime")))
+    for _ in range(3):
+        # random invertible coordinate change with both forms nonzero at
+        # the image of (0,0,1)
+        for _ in range(50):
+            M = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+            if linalg.rank(linalg.as_matrix(M, p), p) != 3:
+                continue
+            top = [M[i][2] for i in range(3)]
+            if (form_values(F, expF, [top], p)[0]
+                    and form_values(G, expG, [top], p)[0]):
+                break
+        else:
+            continue
+        for _ in range(a * b + 5):
+            x0, y0 = rng.randrange(p), rng.randrange(p)
+            base = [(M[i][0] * x0 + M[i][1] * y0) % p for i in range(3)]
+            direction = top
+            f = _univariate_slice(F, expF, base, direction, a, p)
+            g = _univariate_slice(G, expG, base, direction, b, p)
+            if _resultant(f, g, p):
+                return True
+    return False
+
+
+def _univariate_slice(coeffs, exps, base, direction, degree, p):
+    """Coefficients of F(base + s*direction) as a polynomial in s,
+    interpolated from degree+1 sample values."""
+    line = [[(b + x * d) % p for b, d in zip(base, direction)]
+            for x in range(1, degree + 2)]
+    ys = form_values(coeffs, exps, line, p)
+    return [int(v) for v in linalg.interpolate(ys, p)]
+
+
+def _resultant(f, g, p) -> int:
+    """Resultant of two univariate polynomials given by coefficient lists
+    (ascending). Degrees are taken from the list lengths; leading
+    coefficients are assumed nonzero (arranged by the caller)."""
+    a = len(f) - 1
+    b = len(g) - 1
+    S = np.zeros((a + b, a + b), dtype=np.int64)
+    for i in range(b):
+        for j, c in enumerate(reversed(f)):
+            S[i, i + j] = c % p
+    for i in range(a):
+        for j, c in enumerate(reversed(g)):
+            S[b + i, i + j] = c % p
+    return linalg.det(S, p)
 
 
 # ---------------------------------------------------------------------------

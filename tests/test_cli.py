@@ -428,6 +428,18 @@ def test_ambiguous_or_invalid_symbol_is_usage_error(tmp_path, capsys, sym):
     assert err.startswith(f"error: {path}: symbols[1] ")
 
 
+def test_order_no_admissible_prime_meets_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "points": [["1", "u", "0"]],
+                                "symbols": [{"name": "u",
+                                             "order": 1000000007}]}))
+    code = main(["census", "lines", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "no suitable prime" in err
+
+
 def test_bad_point_row_is_usage_error(tmp_path, capsys):
     path = tmp_path / "ragged.json"
     path.write_text(json.dumps({"ambient_dim": 3,

@@ -47,6 +47,15 @@ def test_choose_prime_stays_below_2_to_31():
         make_field([("u", order_constraint(5))], min_bound=2**31 - 10)
 
 
+@pytest.mark.parametrize("n", [1000000007, 2**31 - 1])
+def test_choose_prime_refuses_an_order_no_prime_in_range_meets(n):
+    # the only p = 1 (mod n) in [2**30, 2**31) is 2000000015 = 5 *
+    # 400000003 for the first order, and there is none for the second;
+    # the search steps through p = 1 (mod n), so it ends at once
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        choose_prime([order_constraint(n)])
+
+
 def test_choose_prime_order_constraint():
     p = choose_prime([order_constraint(7)])
     assert p % 7 == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geproci import configs, linalg
 from geproci.field import make_field
@@ -21,13 +21,15 @@ from geproci.ideals import (
     interp_matrix,
     macaulay_matrix,
     monomials,
+    multiples,
     multiplicity_weight,
     num_monomials,
     simple_scheme,
 )
 from geproci.projgeom import ProjPoint, project_general, segre
 
-from oracles import (deletion_h_vectors_by_kernels, eval_monomial,
+from oracles import (coprime_by_resultants, deletion_h_vectors_by_kernels,
+                     eval_monomial,
                      fat_conditions_by_lines, fat_rows_by_entries,
                      rank_det_by_columns)
 
@@ -255,6 +257,52 @@ def test_coprime_zero_form_raises():
     G = _coeffs_of({(1, 1, 0): 1}, 2, P)
     with pytest.raises(ZeroForm):
         coprime_plane_curves(F, G, 2, 2, P)
+
+
+def _form_product(H, h, F, f, p):
+    """Coefficients of the product of ternary forms of degrees h and f."""
+    out = dict.fromkeys(monomials(3, h + f), 0)
+    for c, m in zip(H, monomials(3, h)):
+        for d, M in zip(F, monomials(3, f)):
+            key = tuple(x + y for x, y in zip(m, M))
+            out[key] = (out[key] + int(c) * int(d)) % p
+    return np.array(list(out.values()), dtype=np.int64)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_coprime_plane_curves_matches_resultant_oracle(a, b, h, seed):
+    # F = H F1 and G = H G1 share H exactly when deg H > 0: random F1, G1
+    # are coprime but for a chance of order ab / P
+    h = min(h, a, b)
+    rng = np.random.default_rng(seed)
+    H, F1, G1 = (rng.integers(0, P, num_monomials(3, d))
+                 for d in (h, a - h, b - h))
+    assume(H.any() and F1.any() and G1.any())
+    F = _form_product(H, h, F1, a - h, P)
+    G = _form_product(H, h, G1, b - h, P)
+    got = coprime_plane_curves(F, G, a, b, P)
+    assert got == coprime_by_resultants(F, G, a, b, P, seed=seed)
+    assert got == (h == 0)
+
+
+@pytest.mark.parametrize("nvars,d,e", [(3, 2, 0), (3, 1, 3), (3, 4, 2),
+                                       (4, 2, 1), (2, 3, 3)])
+def test_multiples_evaluate_to_products(nvars, d, e):
+    # (m F)(x) = m(x) F(x) at random points, one row per monomial m
+    rng = random.Random(nvars * 100 + d * 10 + e)
+    F = [rng.randrange(P) for _ in range(num_monomials(nvars, d))]
+    rows = multiples(F, nvars, d, e, P)
+    assert rows.shape == (num_monomials(nvars, e), num_monomials(nvars, d + e))
+    for _ in range(3):
+        x = [rng.randrange(P) for _ in range(nvars)]
+        Fx = sum(c * eval_monomial(x, M, P)
+                 for c, M in zip(F, monomials(nvars, d))) % P
+        for row, m in zip(rows, monomials(nvars, e)):
+            got = sum(int(c) * eval_monomial(x, M, P)
+                      for c, M in zip(row, monomials(nvars, d + e))) % P
+            assert got == eval_monomial(x, m, P) * Fx % P
 
 
 def test_generated_to_next_degree_general_points():

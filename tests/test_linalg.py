@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from geproci import linalg
 from geproci.linalg import (
-    MAX_INNER_DIM,
     PANEL,
     NotSquare,
     as_matrix,
@@ -96,16 +95,15 @@ def test_mat_mul_large_entries_no_overflow():
     assert got == (64 * a * a) % P
 
 
-def test_mat_mul_inner_dimension_limit():
-    # largest low-half product for p < 2**31: a sum of MAX_INNER_DIM of
-    # them fits int64, a sum of twice as many does not
-    term = (2**31 - 2) * (2**16 - 1)
-    assert MAX_INNER_DIM * term < 2**63 <= 2 * MAX_INNER_DIM * term
-    # zero-row and zero-column shapes exercise the guard without data
-    k = MAX_INNER_DIM
-    assert mat_mul(np.zeros((0, k)), np.zeros((k, 0)), P).shape == (0, 0)
-    with pytest.raises(ValueError, match=r"2\*\*16"):
-        mat_mul(np.zeros((0, k + 1)), np.zeros((k + 1, 0)), P)
+def test_mat_mul_exact_past_inner_dimension_2_to_16():
+    # the int64 16-bit split this product once used overflowed here
+    k = 2**16 + 1
+    rng = np.random.default_rng(3)
+    A = rng.integers(P - 2**16, P, (2, k))
+    B = rng.integers(P - 2**16, P, (k, 3))
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % P
+             for col in B.T] for row in A]
+    assert mat_mul(A, B, P).tolist() == want
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
