@@ -96,14 +96,16 @@ def test_mat_mul_large_entries_no_overflow():
 
 
 def test_mat_mul_exact_past_inner_dimension_2_to_16():
-    # the int64 16-bit split this product once used overflowed here
+    # the int64 16-bit split this product once used overflowed here. All
+    # entries lie just below P // 2: as balanced residues they are near
+    # their largest, (P - 1)/2, and all of one sign, so B's high limbs are
+    # too, and one float64 sum over all k terms would pass 2**53
     k = 2**16 + 1
     rng = np.random.default_rng(3)
-    A = rng.integers(P - 2**16, P, (2, k))
-    B = rng.integers(P - 2**16, P, (k, 3))
-    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % P
-             for col in B.T] for row in A]
-    assert mat_mul(A, B, P).tolist() == want
+    A = P // 2 - rng.integers(0, 2**8, (2, k))
+    B = P // 2 - rng.integers(0, 2**20, (k, 3))
+    want = (A.astype(object) @ B.astype(object)) % P
+    assert mat_mul(A, B, P).tolist() == want.tolist()
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
@@ -276,7 +278,7 @@ def test_sub_mat_mul_chunks_a_long_inner_dimension():
     L = np.array([[(p + 1) // 2] * k, rng.integers(0, p, k)],
                  dtype=np.int64)
     T = np.array([[0, 1, p - 1], [5, 0, 7]], dtype=np.int64)
-    want = (T - mat_mul(L, U, p)) % p
+    want = (T.astype(object) - L.astype(object) @ U.astype(object)) % p
     linalg.sub_mat_mul(T, L, U, p)
     assert T.tolist() == want.tolist()
 
