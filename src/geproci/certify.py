@@ -6,9 +6,11 @@ All certificates are Monte Carlo over a large prime field: a "Yes" or
 "No" is backed by evidence whose failure probability per trial is at
 most a fixed degree bound divided by the field size; anything the
 evidence cannot settle comes back "Inconclusive". The randomness is in
-where they look, not in what they compute there: in is_geproci the
-projection vertex is the one random choice, and the ideal dimensions and
-the coprimality of the two curves are exact ranks at that vertex.
+where they look, not in what they compute there. A projection is fixed
+by its vertex alone (its target coordinates are the vertex's own, see
+projgeom.project_from), so in is_geproci the vertex is the one random
+choice, and the ideal dimensions and the coprimality of the two curves
+are exact ranks at that vertex.
 """
 
 import itertools

@@ -717,6 +717,9 @@ def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
                 else minpoly_constraint(sym["minpoly"]))
         except ValueError as exc:
             raise ParseError(f"{path}: symbols[{i}] {exc}") from None
-    fs = make_field(constraints.items(), min_bound)
+    try:
+        fs = make_field(constraints.items(), min_bound)
+    except ValueError as exc:
+        raise ParseError(f"{path}: symbols: {exc}") from None
     return _from_exprs(doc.get("label", "config"), doc["ambient_dim"], fs,
                        doc["points"])

@@ -185,15 +185,19 @@ def deletion_h_vectors(points, p):
     nonzero at every point (each point rules out at most nvars - 1 values
     of c). Rescaling row i of every M_t by a nonzero lambda_i^t changes no
     rank, with or without row i. Once l is 1 on the points, f -> l f shows
-    V_t inside V_{t+1}. So a reduced basis of V_t, with its pivots, grows
-    into one of V_{t+1}: the degree-(t+1) evaluation vectors are reduced
-    against it by one exact product, only the residual is eliminated, its
-    new pivot columns are cleared from the basis, and its rows join it.
-    The basis is the identity on its pivot columns, so B keeps only the
-    other columns, and e_i is in V_t exactly when i is a pivot whose row
-    is zero in B. Degrees run until V_t is all of F_p^n, when every
-    deletion saturates too, or, for repeated points, up to the last
-    degree _h_vector reads.
+    V_t inside V_{t+1}. The coefficient of l on x_0 is 1, so x_0 is also
+    replaced by l, a change of coordinates that changes no rank: then a
+    monomial x_0 m of degree t+1 takes the values of m, which lie in V_t,
+    and only the monomials free of x_0 leave a nonzero residual, whatever
+    zeros the given coordinates have. So a reduced basis of V_t, with its
+    pivots, grows into one of V_{t+1}: the degree-(t+1) evaluation vectors
+    are reduced against it by one exact product, only the residual is
+    eliminated, its new pivot columns are cleared from the basis, and its
+    rows join it. The basis is the identity on its pivot columns, so B
+    keeps only the other columns, and e_i is in V_t exactly when i is a
+    pivot whose row is zero in B. Degrees run until V_t is all of F_p^n,
+    when every deletion saturates too, or, for repeated points, up to the
+    last degree _h_vector reads.
     """
     n = len(points)
     nvars = points[0].ambient_dim + 1
@@ -206,7 +210,7 @@ def deletion_h_vectors(points, p):
     else:
         raise ValueError(f"no linear form sum c^j x_j is nonzero at all "
                          f"{n} points over F_{p}")
-    coords = [[x * pow(int(v), -1, p) % p for x in P]
+    coords = [[1] + [x * pow(int(v), -1, p) % p for x in P[1:]]
               for P, v in zip(coords, ell.tolist())]
     piv, free = np.zeros(0, dtype=np.intp), np.arange(n)
     B = np.zeros((0, n), dtype=np.int64)

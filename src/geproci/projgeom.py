@@ -12,7 +12,6 @@ eliminate nothing.
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -332,34 +331,22 @@ def segre(u: ProjPoint, v: ProjPoint) -> ProjPoint:
     return ProjPoint.make((a * c, a * d, b * c, b * d), p)
 
 
-def projection_matrix(vertex: ProjPoint, seed: int = 0):
-    """Invertible change of coordinates sending the vertex to [0:...:0:1].
-
-    Built deterministically from the seed by completing the vertex with
-    random columns until the matrix is invertible, then inverting.
-    """
-    p = vertex.p
-    n1 = len(vertex.coords)
-    rng = random.Random(repr((seed, "projection", vertex.coords)))
-    while True:
-        cols = [[rng.randrange(p) for _ in range(n1)] for _ in range(n1 - 1)]
-        B = np.array(cols + [list(vertex.coords)], dtype=np.int64).T
-        try:
-            return linalg.inv_matrix(B, p)
-        except ValueError:
-            pass    # singular: draw new columns
-
-
-def project_from(vertex: ProjPoint, points, seed: int = 0):
+def project_from(vertex: ProjPoint, points):
     """Images of the points under projection away from the vertex.
 
-    Raises VertexInZ if the vertex is among the points and CollisionDetected
-    if two images coincide (the caller is expected to pick a new vertex).
+    With v the normalised vertex and c its first nonzero coordinate
+    (v_c = 1), x maps to the coordinates x_j - v_j x_c for j != c: these
+    n forms vanish at v and are a basis of the linear forms that do.
+    Raises VertexInZ if the vertex is among the points and
+    CollisionDetected if two images coincide (the caller is expected to
+    pick a new vertex).
     """
     p = vertex.p
-    T = projection_matrix(vertex, seed=seed)
+    v = np.array(vertex.coords, dtype=np.int64)
+    c = int(np.flatnonzero(v)[0])
+    rest = np.arange(len(v)) != c
     Z = linalg.as_matrix([q.coords for q in points], p)
-    Y = linalg.mat_mul(Z, T.T, p)[:, :-1]
+    Y = (Z[:, rest] - Z[:, [c]] * v[rest] % p) % p
     if not Y.any(axis=1).all():
         raise VertexInZ(f"vertex {vertex} lies in the configuration")
     images = points_of_rows(Y, p)
@@ -375,7 +362,7 @@ def project_general(points, rng):
     for _ in range(25):
         P = random_point(points[0].ambient_dim + 1, p, rng)
         try:
-            return project_from(P, points, seed=rng.randrange(1 << 30))
+            return project_from(P, points)
         except (VertexInZ, CollisionDetected):
             continue
     raise CollisionDetected("no collision-free projection vertex found")

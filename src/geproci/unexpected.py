@@ -5,6 +5,9 @@ permutation-sum hypersurface for simplex skeletons.
 adim(Z, t, m) is the dimension of the degree-t forms vanishing on Z and
 to order m at a general point P; vdim is the naive count. A configuration
 has an unexpected cone of degree t when adim(t, t) exceeds max(0, vdim).
+A flat of a flat union enters through the fixed points of its principal
+lattice, so P is the only random draw: vdim is exact, and adim is a
+minimum over choices of P.
 """
 
 import itertools
@@ -17,8 +20,7 @@ import numpy as np
 from . import linalg
 from .configs import Configuration, FlatUnion
 from .ideals import ideal_dim, num_monomials
-from .projgeom import (ProjPoint, points_of_rows, project_general,
-                       random_point)
+from .projgeom import points_of_rows, project_general, random_point
 
 
 @dataclass
@@ -38,59 +40,55 @@ def _space(Z):
     return Z[0].ambient_dim, Z[0].p
 
 
-def _flat_points(flat, need, p, rng):
-    """`need` distinct random points of a flat: random combinations of its
-    basis rows, the coefficient rows drawn from rng one after another.
+def _lattice(basis, d, p):
+    """The principal lattice of degree d on the flat spanned by the basis
+    rows B: the points c B for the nonnegative integer vectors c with
+    |c| = d, from one int64 product (entries of c are at most d, so it
+    is exact). For 0 < d < p these C(d + k, k) distinct points of a
+    k-flat are unisolvent for degree-d polynomials on it (Chung and Yao,
+    SIAM J. Numer. Anal. 14, 1977), so a form of degree at most d
+    vanishes on them exactly when it vanishes on the flat."""
+    B = np.array(basis, dtype=np.int64)
+    k1 = len(B)
+    # stars and bars: k1 - 1 bars among d + k1 - 1 places
+    bars = np.array(list(itertools.combinations(range(d + k1 - 1), k1 - 1)),
+                    dtype=np.int64)
+    C = np.diff(np.pad(bars, ((0, 0), (1, 1)),
+                       constant_values=(-1, d + k1 - 1)), axis=1) - 1
+    return points_of_rows(C @ B % p, p)
 
-    A batch of the rows still missing goes through one product; a zero
-    combination is dropped and a repeated point does not count, so later
-    batches draw only what is still missing. Each row adds at most one
-    point, so the rows drawn are exactly those a row-at-a-time loop
-    stopping at `need` points would draw."""
-    B = np.array(flat.basis, dtype=np.int64)
-    got = set()
-    while len(got) < need:
-        C = [[rng.randrange(p) for _ in range(len(B))]
-             for _ in range(need - len(got))]
-        V = linalg.mat_mul(C, B, p)
-        got.update(points_of_rows(V[V.any(axis=1)], p))
-    return got
 
+def _condition_points(Z, t):
+    """Points that impose the conditions of Z on degree-t forms, each
+    once.
 
-def _condition_points(Z, t, rng):
-    """Points that impose the conditions of Z on degree-t forms.
-
-    A k-flat imposes the same conditions as binom(t+k, k) of its general
-    points, so flat unions are replaced by per-flat samples.
+    A flat of a flat union imposes the conditions of its principal
+    lattice of degree max(t, 1) (degree 0 would be the zero vector), so
+    nothing here is random.
     """
-    if isinstance(Z, Configuration):
-        return list(Z.points)
     if isinstance(Z, FlatUnion):
-        p = Z.field.p
-        out = []
-        for flat in Z.flats:
-            k = flat.dim
-            got = _flat_points(flat, math.comb(t + k, k), p, rng)
-            out.extend(sorted(got, key=lambda q: q.coords))
-        return out
-    return list(Z)
+        d, p = max(t, 1), Z.field.p
+        pts = (q for flat in Z.flats for q in _lattice(flat.basis, d, p))
+    else:
+        pts = Z.points if isinstance(Z, Configuration) else Z
+    return list(dict.fromkeys(pts))
 
 
 def adim(Z, t, m, trials=2, seed=0) -> int:
     """dim of degree-t forms through Z vanishing to order m at a general
-    point, minimized over random choices.
+    point, minimized over random choices of that point, the only random
+    draw.
 
     For t = m the cone condition is equivalent to vanishing of the
     projected configuration, which needs a much smaller matrix.
     """
     n, p = _space(Z)
     rng = random.Random(repr((seed, "adim", t, m)))
+    pts = _condition_points(Z, t)
     best = None
     for _ in range(trials):
-        pts = _condition_points(Z, t, rng)
         if t == m:
-            val = ideal_dim(project_general(list(dict.fromkeys(pts)), rng),
-                            t, p)
+            val = ideal_dim(project_general(pts, rng), t, p)
         else:
             P = random_point(n + 1, p, rng)
             val = ideal_dim([(q, 1) for q in pts] + [(P, m)], t, p)
@@ -101,16 +99,14 @@ def adim(Z, t, m, trials=2, seed=0) -> int:
 def vdim(Z, t, m, trials=2, seed=0) -> int:
     """dim [I(Z)]_t minus the conditions a general fat point imposes.
 
-    May be negative; the fat point term is binom(m+n-1, n).
+    May be negative; the fat point term is binom(m+n-1, n). Exact: one
+    rank, so trials and seed are accepted, as adim's, but do not change
+    the result.
     """
     n, p = _space(Z)
-    total = num_monomials(n + 1, t)
-    rng = random.Random(repr((seed, "vdim", t, m)))
-    dims = []
-    for _ in range(trials):
-        pts = _condition_points(Z, t, rng)
-        dims.append(ideal_dim(pts, t, p) if pts else total)
-    return min(dims) - math.comb(m + n - 1, n)
+    pts = _condition_points(Z, t)
+    dim = ideal_dim(pts, t, p) if pts else num_monomials(n + 1, t)
+    return dim - math.comb(m + n - 1, n)
 
 
 def c_predicate(Z, t, trials=2, seed=0) -> UnexpReport:
@@ -200,10 +196,11 @@ def verify_skeleton_T(n, p=None, seed=0, samples=5):
     """Numeric verification of the explicit skeleton hypersurface.
 
     With k = floor(n/2) and l = ceil(n/2): the degree-(k+1) form T built
-    from a random general point Q must vanish at sampled points of every
-    (k-1)-flat spanned by k of the n+2 points (coordinate points plus
-    the all-ones point), and vanish to order at least l at Q along
-    random lines. Returns a report dict.
+    from a random general point Q must vanish on every (k-1)-flat spanned
+    by k of the n+2 points (coordinate points plus the all-ones point),
+    which is checked exactly on each flat's principal lattice of degree
+    k+1, and vanish to order at least l at Q along `samples` random
+    lines. Returns a report dict.
     """
     from .field import choose_prime
     if p is None:
@@ -214,26 +211,17 @@ def verify_skeleton_T(n, p=None, seed=0, samples=5):
     rng = random.Random(repr((seed, "skeleton-T", n)))
     a = [rng.randrange(1, p) for _ in range(N + 1)]
     coeffs = skeleton_T_coeffs(n, a, p)
-    spanning = [ProjPoint.make(tuple(1 if j == i else 0
-                                     for j in range(N + 1)), p)
+    spanning = [tuple(1 if j == i else 0 for j in range(N + 1))
                 for i in range(N + 1)]
-    spanning.append(ProjPoint.make((1,) * (N + 1), p))
-    flats_ok = True
-    for sub in itertools.combinations(spanning, k):
-        B = np.array([q.coords for q in sub], dtype=np.int64)
-        for _ in range(samples):
-            c = np.array([rng.randrange(p) for _ in range(k)],
-                         dtype=np.int64).reshape(1, -1)
-            v = linalg.mat_mul(c, B, p).ravel()
-            if not v.any():
-                continue
-            if eval_skeleton_T(coeffs, v, p):
-                flats_ok = False
+    spanning.append((1,) * (N + 1))
+    flats_ok = not any(eval_skeleton_T(coeffs, q.coords, p)
+                       for sub in itertools.combinations(spanning, k)
+                       for q in _lattice(sub, k + 1, p))
     # vanishing order at Q along random lines
     order = None
     deg = k + 1
     for _ in range(samples):
-        B = [rng.randrange(p) for _ in range(N + 1)]
+        B = random_point(N + 1, p, rng).coords
         ys = [eval_skeleton_T(coeffs, [(q + x * d) % p for q, d in zip(a, B)],
                               p) for x in range(1, deg + 2)]
         sol = linalg.interpolate(ys, p)

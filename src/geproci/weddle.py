@@ -99,10 +99,8 @@ def weddle_degree(points, d, seed=0, lines=3):
     rng = random.Random(repr((seed, "weddle-degree")))
     best = None
     for _ in range(lines):
-        A = [rng.randrange(p) for _ in range(nvars)]
-        B = [rng.randrange(p) for _ in range(nvars)]
-        if not any(A) or not any(B):
-            continue
+        A = random_point(nvars, p, rng).coords
+        B = random_point(nvars, p, rng).coords
         ys = [_det_at(points, d,
                       [(a + x * b) % p for a, b in zip(A, B)], p)
               for x in range(1, bound + 2)]

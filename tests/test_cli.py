@@ -438,6 +438,7 @@ def test_order_no_admissible_prime_meets_is_usage_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "no suitable prime" in err
+    assert f"{path}: symbols: " in err
 
 
 def test_bad_point_row_is_usage_error(tmp_path, capsys):

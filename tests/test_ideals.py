@@ -401,3 +401,24 @@ def test_deletion_h_vectors_run_no_kernel_and_one_pivot_per_point(
     full, dropped = deletion_h_vectors(images, pts[0].p)
     # the eliminations' pivots are the 60 rows of the final basis
     assert sum(full) == len(images) == len(pivots) == 60
+
+
+@pytest.mark.parametrize("label,pts", [
+    case for case in _deletion_cases()
+    if case[0] in ("l needs c = 2", "klein image at seed 1")],
+    ids=lambda x: x if isinstance(x, str) else "")
+def test_deletion_h_vectors_eliminate_only_monomials_free_of_x0(
+        monkeypatch, label, pts):
+    # l replaces x0 even when l is not x0 (x0 vanishes at some of these
+    # points), so in degree t only the t + 1 monomials of the plane free of
+    # x0 can leave a residual
+    rows = []
+    rref = linalg.rref
+
+    def counting_rref(M, p):
+        rows.append(len(M))
+        return rref(M, p)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    deletion_h_vectors(pts, pts[0].p)
+    assert all(r <= t + 1 for t, r in enumerate(rows))

@@ -174,7 +174,7 @@ def test_project_from_image_dimension_drops():
     rng = random.Random(17)
     Z = [pt(*[rng.randrange(P) for _ in range(4)]) for _ in range(6)]
     vertex = pt(*[rng.randrange(P) for _ in range(4)])
-    images = project_from(vertex, Z, seed=1)
+    images = project_from(vertex, Z)
     assert all(q.ambient_dim == 2 for q in images)
     assert len(images) == len(Z)
 
@@ -182,14 +182,34 @@ def test_project_from_image_dimension_drops():
 def test_project_from_vertex_in_z():
     Z = [pt(1, 0, 0, 0), pt(0, 1, 0, 0)]
     with pytest.raises(VertexInZ):
-        project_from(pt(1, 0, 0, 0), Z, seed=0)
+        project_from(pt(1, 0, 0, 0), Z)
 
 
 def test_project_from_collision():
     # vertex on the line of two points: their images collide
     Z = [pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0)]
     with pytest.raises(CollisionDetected):
-        project_from(pt(1, 1, 0, 0), Z, seed=0)
+        project_from(pt(1, 1, 0, 0), Z)
+
+
+@pytest.mark.parametrize("vertex", [(0, 2, 3, 5), (7, 0, 1, 0, 9),
+                                    (3, 1, 4, 1, 5, 9)])
+def test_project_from_is_fixed_by_the_vertex(vertex):
+    # the map is a choice of basis of the linear forms vanishing at the
+    # vertex: it collapses each line through the vertex to one point, is
+    # onto P^(n-1), and draws nothing
+    rng = random.Random(3)
+    v = pt(*vertex)
+    n1 = len(vertex)
+    Z = [pt(*[rng.randrange(P) for _ in range(n1)]) for _ in range(8)]
+    moved = [ProjPoint.make([x + lam * w for x, w in zip(q.coords, v.coords)],
+                            P)
+             for q, lam in zip(Z, [rng.randrange(1, P) for _ in Z])]
+    images = project_from(v, Z)
+    assert project_from(v, moved) == images
+    assert project_from(v, Z) == images
+    coordinate = [pt(*[int(i == j) for j in range(n1)]) for i in range(n1)]
+    assert span_dim(project_from(v, coordinate)) == n1 - 2
 
 
 def test_line_through_contains_both():

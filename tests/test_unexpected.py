@@ -1,15 +1,17 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
-from geproci.configs import named, skeleton, unity_grid
-from geproci.ideals import interp_matrix
+from geproci import unexpected
+from geproci.configs import FlatUnion, named, skeleton, unity_grid
+from geproci.field import FieldSpec
+from geproci.ideals import ideal_dim, interp_matrix, simple_scheme
 from geproci.linalg import rank
 from geproci.projgeom import ProjPoint, flat_through, random_point
 from geproci.unexpected import (
     _condition_points,
-    _flat_points,
     _space,
     adim,
     c_predicate,
@@ -66,33 +68,73 @@ def test_skeleton_permutation_hypersurface(n):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_condition_points_match_one_by_one_sampler(seed):
-    sk = skeleton(4, 2)
-    rng_got, rng_want = random.Random(seed), random.Random(seed)
-    got = _condition_points(sk, 5, rng_got)
-    want = []
-    for flat in sk.flats:
-        want += sorted(flat_samples_one_by_one(flat, 21, sk.field.p,
-                                               rng_want),
-                       key=lambda q: q.coords)
-    assert got == want
-    assert all(type(c) is int for q in got for c in q.coords)
-    assert rng_got.getstate() == rng_want.getstate()
+    # the fixed lattice points impose what random samples of each flat
+    # impose: binom(t + k, k) general points of a k-flat are its conditions
+    # on degree-t forms
+    rng = random.Random(seed)
+    for sk, t in [(skeleton(4, 2), 5), (skeleton(5, 4), 3)]:
+        p = sk.field.p
+        got = _condition_points(sk, t)
+        assert len(set(got)) == len(got)
+        assert all(type(c) is int for q in got for c in q.coords)
+        k = sk.flat_dim
+        want = [q for flat in sk.flats
+                for q in flat_samples_one_by_one(flat, math.comb(t + k, k),
+                                                 p, rng)]
+        assert ideal_dim(got, t, p) == ideal_dim(want, t, p)
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("k,need", [(1, 8), (2, 21)])
 def test_flat_samples_with_zero_and_repeated_rows(seed, k, need):
-    # over F_7 a line has 8 points and a plane 57: repeats are common, and
-    # seeds 1, 2 and 4 draw a zero coefficient row on the line, so the
-    # batches of missing rows run
+    # over F_7 a line has 8 points and a plane 57, so the sampler draws
+    # zero and repeated rows; the lattice of degree t < 7 has full rank
+    # binom(t + k, k), and no sample of the flat adds a condition to it
     p = 7
+    fs = FieldSpec(p)
     flat = flat_through([ProjPoint.make([1 if j == i else 0
                                          for j in range(4)], p)
                          for i in range(k + 1)])
-    rng_got, rng_want = random.Random(seed), random.Random(seed)
-    got = _flat_points(flat, need, p, rng_got)
-    assert got == flat_samples_one_by_one(flat, need, p, rng_want)
-    assert rng_got.getstate() == rng_want.getstate()
+    samples = list(flat_samples_one_by_one(flat, need, p,
+                                           random.Random(seed)))
+    for t in range(p):
+        got = _condition_points(FlatUnion(3, [flat], fs), t)
+        M = interp_matrix(simple_scheme(got), t, p)
+        assert rank(M, p) == math.comb(t + k, k)
+        assert ideal_dim(got + samples, t, p) == ideal_dim(got, t, p)
+
+
+@pytest.mark.parametrize("p", [7, 1073741827])
+@pytest.mark.parametrize("k", range(4))
+def test_one_flat_lattice_imposes_binomial_conditions(k, p):
+    # a k-flat imposes binom(t + k, k) conditions on degree-t forms, and
+    # its lattice has that rank for t = 0..6, which over F_7 is every t < p
+    rng = random.Random(repr((k, p)))
+    fs = FieldSpec(p)
+    while True:
+        flat = flat_through([random_point(5, p, rng) for _ in range(k + 1)])
+        if flat.dim == k:
+            break
+    for t in range(7):
+        got = _condition_points(FlatUnion(4, [flat], fs), t)
+        M = interp_matrix(simple_scheme(got), t, p)
+        assert rank(M, p) == math.comb(t + k, k)
+
+
+def test_degree_zero_and_one_on_a_flat_union():
+    # a lattice of degree 0 would be the zero vector; degree 1 stands in
+    sk = skeleton(4, 2)
+    assert (adim(sk, 0, 0), vdim(sk, 0, 0)) == (0, 0)
+    assert (adim(sk, 1, 1), vdim(sk, 1, 1)) == (0, -1)
+
+
+def test_vdim_is_one_exact_rank():
+    sk = skeleton(4, 2)
+    with mock.patch("geproci.unexpected.ideal_dim",
+                    wraps=unexpected.ideal_dim) as spy:
+        values = {vdim(sk, 5, 5, trials=4, seed=s) for s in range(4)}
+    assert len(values) == 1
+    assert spy.call_count == 4
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +172,7 @@ def test_cone_dimension_by_projection_matches_fat_vertex(Z, t, expected):
     # counted directly, with the vertex a fat point of multiplicity t
     n, p = _space(Z)
     rng = random.Random(5)
-    scheme = ([(q, 1) for q in _condition_points(Z, t, rng)]
+    scheme = ([(q, 1) for q in _condition_points(Z, t)]
               + [(random_point(n + 1, p, rng), t)])
     direct = math.comb(t + n, n) - rank(interp_matrix(scheme, t, p), p)
     assert adim(Z, t, t, trials=1) == direct == expected

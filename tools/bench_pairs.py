@@ -9,8 +9,9 @@ For every workload of BENCHMARK.json and each of ten fixed seeds,
 `bench/run.py` runs once in each tree for the benchmark's run length, the
 tree that goes first alternating from pair to pair, so slow drift of the
 host falls on both sides alike. The output file holds the machine block,
-both revisions, the seeds, a per-metric summary (medians, quartiles and
-how many pairs the working tree won) and every result object.
+both revisions, the seeds, a per-metric summary (medians, quartiles, how
+many pairs the working tree won and the median pair ratio by the side
+that ran first) and every result object.
 """
 
 import argparse
@@ -61,7 +62,9 @@ def run_bench(root, workload, seed, seconds):
 
 def summarise(runs, metrics):
     """Per metric: each side's median and quartiles, the relative change
-    of the medians, and the pairs in which the working tree did better."""
+    of the medians, the pairs in which the working tree did better, and
+    the median change/parent ratio of a pair (minus 1), split by the
+    side that ran first, so a run-order effect shows in the file."""
     out = {}
     for name, better in metrics.items():
         side = {k: [r["metrics"][name]["value"] for r in runs[k]]
@@ -76,6 +79,12 @@ def summarise(runs, metrics):
         stats["change_wins"] = sum(sign * (c - p) > 0 for p, c in
                                    zip(side["parent"], side["change"]))
         stats["pairs"] = len(side["parent"])
+        by_first = {"change": [], "parent": []}
+        for p, c, first in zip(side["parent"], side["change"],
+                               (r["ran_first"] for r in runs["change"])):
+            by_first["change" if first else "parent"].append(c / p - 1)
+        stats["pair_change_median_by_first"] = {
+            k: statistics.median(v) for k, v in by_first.items() if v}
         out[name] = stats
     return out
 
