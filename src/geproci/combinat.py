@@ -11,11 +11,12 @@ a collinearity-preserving bijection.
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .projgeom import _minors, points_of_rows, spanned_flats
+from .projgeom import (_minors, flat_groups, flats_of_groups, points_of_rows,
+                       spanned_flats)
 
 
 class NotA33Grid(ValueError):
@@ -26,32 +27,44 @@ class SizeMismatch(ValueError):
     pass
 
 
-@dataclass
 class IncidenceCensus:
-    flat_dim: int
-    histogram: dict          # points-on-flat -> number of flats
-    members: dict            # Flat -> frozenset of points
+    """The (k-1)-flats spanned by k-subsets of the points, counted from
+    their projgeom.flat_groups: histogram maps points-on-flat to the
+    number of flats, and members (Flat -> frozenset of points, as
+    spanned_flats gives it) is built on first read."""
+
+    def __init__(self, points, k):
+        self.flat_dim = k - 1
+        self._points = points
+        self._groups = flat_groups(points, k)
+        self.histogram = dict(Counter(self._groups[2]))
+
+    @cached_property
+    def members(self):
+        return flats_of_groups(self._points, self.flat_dim + 1, self._groups)
 
 
 def _points(Z):
     return list(Z.points) if hasattr(Z, "points") else list(Z)
 
 
-def _census(Z, k):
-    members = spanned_flats(_points(Z), k)
-    hist = dict(Counter(len(v) for v in members.values()))
-    return IncidenceCensus(k - 1, hist, members)
+def _lines(points):
+    """The lines spanned by the points, each as the list of the indices
+    of the points on it (its run of flat_groups)."""
+    _, on, sizes = flat_groups(points, 2)
+    runs = iter(on)
+    return [list(itertools.islice(runs, size)) for size in sizes]
 
 
 def line_census(Z) -> IncidenceCensus:
     """Histogram of lines by how many of the points they contain."""
-    return _census(Z, 2)
+    return IncidenceCensus(_points(Z), 2)
 
 
 def plane_census(Z) -> IncidenceCensus:
     """Histogram of planes (spanned by noncollinear triples) by point
     count, for configurations in 3-space."""
-    return _census(Z, 3)
+    return IncidenceCensus(_points(Z), 3)
 
 
 def brianchon_points(Z):
@@ -93,7 +106,7 @@ def brianchon_points(Z):
                  key=lambda q: q.coords)
     if len(six) != 6:
         raise NotA33Grid(f"found {len(six)} concurrency points, expected 6")
-    coll = _collinear_triples(six, spanned_flats(six, 2))
+    coll = _collinear_triples(_lines(six))
     for tri in itertools.combinations(range(6), 3):
         rest = frozenset(range(6)).difference(tri)
         if frozenset(tri) in coll and rest in coll:
@@ -105,19 +118,18 @@ def brianchon_points(Z):
 # ---------------------------------------------------------------------------
 # weak combinatorial equivalence
 
-def _line_structure(points, members):
-    """(profiles, nbr, classes, big) on point indices: the sorted sizes of
-    the lines through each point, the bitmask of its two-point-line
-    neighbours, a bitmask of the points of each profile, and the bitmasks
-    of the lines with three or more points."""
-    index = {q: i for i, q in enumerate(points)}
-    sizes = [[] for _ in points]
-    nbr = [0] * len(points)
+def _line_structure(n, lines):
+    """(profiles, nbr, classes, big) of n points and the index lists of
+    their lines: the sorted sizes of the lines through each point, the
+    bitmask of its two-point-line neighbours, a bitmask of the points of
+    each profile, and the bitmasks of the lines with three or more
+    points."""
+    sizes = [[] for _ in range(n)]
+    nbr = [0] * n
     big = []
-    for v in members.values():
-        idx = [index[q] for q in v]
+    for idx in lines:
         for i in idx:
-            sizes[i].append(len(v))
+            sizes[i].append(len(idx))
         if len(idx) == 2:
             a, b = idx
             nbr[a] |= 1 << b
@@ -136,6 +148,12 @@ def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _index_lines(points, members):
+    """The members of each line as lists of indices into points."""
+    index = {q: i for i, q in enumerate(points)}
+    return [[index[q] for q in v] for v in members.values()]
+
+
 def k33_probe(points, members):
     """Fingerprint of complete bipartite K_{3,3} subgraphs of the
     two-point-line graph, between points of distinct line profiles.
@@ -144,7 +162,7 @@ def k33_probe(points, members):
     points of profile A share at least three common neighbors of
     profile B. Invariant under collinearity-preserving bijections.
     """
-    return _k33(_line_structure(points, members))
+    return _k33(_line_structure(len(points), _index_lines(points, members)))
 
 
 def _k33(structure):
@@ -170,7 +188,7 @@ def disjoint_k13_probe(points, members):
     configuration exists. Invariant under collinearity-preserving
     bijections.
     """
-    return _k13(_line_structure(points, members))
+    return _k13(_line_structure(len(points), _index_lines(points, members)))
 
 
 def _k13(structure):
@@ -188,11 +206,10 @@ def _k13(structure):
     return frozenset(found)
 
 
-def _collinear_triples(points, lines):
-    """Index triples of the points that lie on one of their lines."""
-    index = {q: i for i, q in enumerate(points)}
-    return {frozenset(t) for v in lines.values() if len(v) >= 3
-            for t in itertools.combinations([index[q] for q in v], 3)}
+def _collinear_triples(lines):
+    """Index triples of points that lie on one of the index lines."""
+    return {frozenset(t) for idx in lines if len(idx) >= 3
+            for t in itertools.combinations(idx, 3)}
 
 
 def _search_bijection(prof1, prof2, coll1, coll2):
@@ -287,12 +304,10 @@ def weak_comb_equivalent(Z1, Z2, exhaustive_bound=16):
         raise SizeMismatch(f"{len(pts1)} vs {len(pts2)} points")
     if pts1 == pts2:
         return ("Equivalent", list(range(len(pts1))))
-    m1, m2 = spanned_flats(pts1, 2), spanned_flats(pts2, 2)
-    h1 = sorted((len(v) for v in m1.values()))
-    h2 = sorted((len(v) for v in m2.values()))
-    if h1 != h2:
+    l1, l2 = _lines(pts1), _lines(pts2)
+    if sorted(map(len, l1)) != sorted(map(len, l2)):
         return ("Distinguished", "line_census")
-    s1, s2 = _line_structure(pts1, m1), _line_structure(pts2, m2)
+    s1, s2 = _line_structure(len(pts1), l1), _line_structure(len(pts2), l2)
     prof1, prof2 = s1[0], s2[0]
     if sorted(prof1) != sorted(prof2):
         return ("Distinguished", "point_line_profile")
@@ -301,8 +316,8 @@ def weak_comb_equivalent(Z1, Z2, exhaustive_bound=16):
     if _k13(s1) != _k13(s2):
         return ("Distinguished", "disjoint_k13_probe")
     if len(pts1) <= exhaustive_bound:
-        bij = _search_bijection(prof1, prof2, _collinear_triples(pts1, m1),
-                                _collinear_triples(pts2, m2))
+        bij = _search_bijection(prof1, prof2, _collinear_triples(l1),
+                                _collinear_triples(l2))
         if bij is None:
             return ("Distinguished", "exhaustive_search")
         return ("Equivalent", bij)

@@ -199,15 +199,11 @@ def _rank_k_subsets(coords, k, p):
 
 
 def _group_subsets(coords, k, p):
-    """(entries, rows, sizes) of the flats spanned by those subsets, in
-    the order of their first subset: the entries of their echelon forms,
-    flat after flat, the rows on each flat in the order the subsets first
-    meet them, and the number of rows on each. Nothing is eliminated: a
-    flat's first nonzero Pluecker coordinate J is its first column basis,
-    so its pivots, and by Cramer's rule row i of its echelon form is
-    (-1)**i W[J - j_i], where W[I, c] = +-P[I + c] is signed as in the
-    Laplace expansion (P_J = 1)."""
-    n, m = coords.shape
+    """(keys, rows, sizes) of the flats spanned by those subsets, in the
+    order of their first subset: the Pluecker keys of the flats, the rows
+    on each flat in the order the subsets first meet them, flat after
+    flat, and the number of rows on each."""
+    n = len(coords)
     K, S = _rank_k_subsets(coords, k, p)
     order = np.lexsort(K.T[::-1])   # stable: a group's first subset leads
     starts = np.ones(len(order), dtype=bool)
@@ -219,41 +215,59 @@ def _group_subsets(coords, k, p):
     lead = first == np.arange(len(first))
     group = (np.cumsum(lead) - 1)[first]
     K = K[lead]   # only the flats' keys are needed from here on
+    # each (flat, row) pair once, by flat, then by first sight; int32
+    # codes whenever they fit, as np.unique copies and sorts them
+    code = np.int32 if len(K) * n < 2**31 else np.int64
+    codes, seen = np.unique((group.astype(code)[:, None] * n
+                             + S.astype(code, copy=False)).ravel(),
+                            return_index=True)
+    codes = codes[np.lexsort((seen, codes // n))]
+    sizes = np.bincount(codes // n)
+    return K, (codes % n).tolist(), sizes.tolist()
+
+
+def _echelon_entries(K, k, m, p):
+    """Entries of the reduced echelon forms of the flats with Pluecker
+    keys K (rows of k x k minors of k x m matrices), flat after flat.
+    Nothing is eliminated: a flat's first nonzero Pluecker coordinate J
+    is its first column basis, so its pivots, and by Cramer's rule row i
+    of its echelon form is (-1)**i W[J - j_i], where W[I, c] = +-P[I + c]
+    is signed as in the Laplace expansion (P_J = 1)."""
     cols, rest = _laplace_table(m, k)
     W = np.zeros((len(K), math.comb(m, k - 1), m), dtype=K.dtype)
     for t in range(k):
         W[:, rest[t], cols[t]] = (-1) ** t * K
     J = rest[:, (K != 0).argmax(axis=1)].T
-    entries = (W[np.arange(len(K))[:, None], J]
-               * (-1) ** np.arange(k)[:, None] % p)
-    # each (flat, row) pair once, by flat, then by first sight
-    codes, seen = np.unique((group[:, None] * n + S).ravel(),
-                            return_index=True)
-    codes = codes[np.lexsort((seen, codes // n))]
-    sizes = np.bincount(codes // n)
-    return entries.ravel().tolist(), (codes % n).tolist(), sizes.tolist()
+    return (W[np.arange(len(K))[:, None], J]
+            * (-1) ** np.arange(k)[:, None] % p).ravel().tolist()
 
 
-def spanned_flats(points, k):
-    """{Flat: frozenset of points} for the (k-1)-flats spanned by k-subsets
-    of the points. Flats and their members come in the order that adding
-    the points of each subset in itertools.combinations order gives, but
-    one Flat and one frozenset are made per flat, not per subset. Raises
-    NotDistinct if two of the points coincide."""
+def flat_groups(points, k):
+    """(keys, on, sizes) of the (k-1)-flats spanned by k-subsets of the
+    points, as _group_subsets gives them (on: point indices), in the
+    order spanned_flats makes its flats. Raises NotDistinct if two of the
+    points coincide and MixedAmbient if they live in different spaces."""
     first = {}
     for i, q in enumerate(points):
         if first.setdefault(q, i) != i:
             raise NotDistinct(f"points {first[q]} and {i} coincide")
     if len(points) < k:
-        return {}
+        return None, [], []
     _check_common(points)
     if k > len(points[0].coords):   # no k x k minors: no subset has rank k
-        return {}
-    p = points[0].p
+        return None, [], []
     coords = np.array([q.coords for q in points], dtype=np.int64)
-    entries, on, sizes = _group_subsets(coords, k, p)
+    return _group_subsets(coords, k, points[0].p)
+
+
+def flats_of_groups(points, k, groups):
+    """{Flat: frozenset of points} of flat_groups(points, k)."""
+    keys, on, sizes = groups
+    if not sizes:
+        return {}
+    p, m = points[0].p, len(points[0].coords)
     # basis tuples straight from the entries: rows of m, then k rows
-    rows = zip(*[iter(entries)] * coords.shape[1])
+    rows = zip(*[iter(_echelon_entries(keys, k, m, p))] * m)
     bases = zip(*[rows] * k)
     members = [points[i] for i in on]
     out, lo = {}, 0
@@ -263,6 +277,15 @@ def spanned_flats(points, k):
         out[Flat(basis, p)] = frozenset(set(members[lo:lo + size]))
         lo += size
     return out
+
+
+def spanned_flats(points, k):
+    """{Flat: frozenset of points} for the (k-1)-flats spanned by k-subsets
+    of the points. Flats and their members come in the order that adding
+    the points of each subset in itertools.combinations order gives, but
+    one Flat and one frozenset are made per flat, not per subset. Raises
+    NotDistinct if two of the points coincide."""
+    return flats_of_groups(points, k, flat_groups(points, k))
 
 
 def line_through(a: ProjPoint, b: ProjPoint) -> Flat:

@@ -12,7 +12,6 @@ import re
 import numpy as np
 
 from geproci import linalg
-from geproci.combinat import _collinear_triples
 from geproci.configs import ParseError, UnresolvableSymbol
 from geproci.ideals import (ZeroForm, _h_vector, form_values, ideal_dim,
                             interp_matrix, monomials, simple_scheme)
@@ -222,6 +221,14 @@ def _resultant(f, g, p) -> int:
 
 
 # ---------------------------------------------------------------------------
+# named configurations and flat sizes k on which the flat groupings are
+# checked against the one-subset-at-a-time oracle
+
+FLAT_CORPUS = [("d4", 2), ("f4", 2), ("penrose", 2), ("h4", 2), ("e8", 2),
+               ("points120", 2), ("z1", 3), ("z2", 3), ("z3", 3)]
+
+
+# ---------------------------------------------------------------------------
 # weak-equivalence probes on sets of points (members: line -> point set)
 
 def _profiles(points, members):
@@ -326,6 +333,14 @@ def flat_samples_one_by_one(flat, need, p, rng):
     return got
 
 
+def collinear_triples_by_points(points, members):
+    """Index triples of the points that lie together on one of the lines
+    of members (line -> point set), looked up point by point."""
+    index = {q: i for i, q in enumerate(points)}
+    return {frozenset(index[q] for q in t) for v in members.values()
+            for t in itertools.combinations(v, 3)}
+
+
 def brianchon_by_pairs(points):
     """The two collinear triples of brianchon_points for a (3,3)-grid, with
     every pair of two-point lines intersected by its own kernel."""
@@ -347,7 +362,7 @@ def brianchon_by_pairs(points):
             conc.setdefault(q, set()).update((f1, f2))
     six = sorted((q for q, ls in conc.items() if len(ls) >= 3),
                  key=lambda q: q.coords)
-    coll = _collinear_triples(six, spanned_flats(six, 2))
+    coll = collinear_triples_by_points(six, spanned_flats(six, 2))
     for tri in itertools.combinations(range(6), 3):
         rest = frozenset(range(6)).difference(tri)
         if frozenset(tri) in coll and rest in coll:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import py_compile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,3 +25,14 @@ def test_pair_ratios_split_by_run_order():
     assert round(by_first["parent"] * 100, 1) == 13.0
     assert all(set(s["pair_change_median_by_first"]) == {"change", "parent"}
                for s in summary.values())
+
+
+def test_working_tree_export_holds_the_sources_and_no_caches(tmp_path):
+    bp = _bench_pairs()
+    # the byte-code cache an import of the library leaves in the checkout
+    init = ROOT / "src" / "geproci" / "__init__.py"
+    assert Path(py_compile.compile(str(init), doraise=True)).is_file()
+    bp.export(bp.disk_tree(), tmp_path)
+    assert (tmp_path / "bench" / "run.py").is_file()
+    assert (tmp_path / "src" / "geproci" / "__init__.py").is_file()
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -1,9 +1,14 @@
 import itertools
+import json
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geproci import projgeom
+from geproci.cli import main
 from geproci.combinat import (
     NotA33Grid,
     SizeMismatch,
@@ -15,11 +20,12 @@ from geproci.combinat import (
     plane_census,
     weak_comb_equivalent,
 )
-from geproci.configs import grid, named, unity_grid, z56
+from geproci.configs import grid, named, save, unity_grid, z56
 from geproci.field import make_field
-from geproci.projgeom import NotDistinct, ProjPoint, span_dim
+from geproci.projgeom import NotDistinct, ProjPoint, span_dim, spanned_flats
 
 from oracles import (
+    FLAT_CORPUS,
     collinear,
     covers_by_subsets,
     det_cofactor,
@@ -135,6 +141,42 @@ def test_thirty_point_censuses(which, planes):
 def test_census_accepts_plain_point_lists():
     cfg = named("d4")
     assert line_census(cfg.points).histogram == {2: 18, 3: 16}
+
+
+POINTS120_LINES = {2: 3240, 3: 240, 4: 90, 5: 144, 6: 80}
+
+
+def test_counts_and_equivalence_build_no_flats(tmp_path, capsys):
+    # histograms, the census command and the equivalence test count on
+    # point indices; only members makes Flat objects
+    path = tmp_path / "points120.json"
+    save(named("points120"), str(path))
+    boom = mock.Mock(side_effect=AssertionError("Flat built"))
+    with mock.patch.object(projgeom, "Flat", boom):
+        assert line_census(named("points120")).histogram == POINTS120_LINES
+        assert (plane_census(z56(1)).histogram
+                == {3: 366, 4: 168, 5: 30, 10: 30})
+        assert main(["--json", "census", "lines", str(path)]) == 0
+        assert weak_comb_equivalent(z56(1), z56(2)) == (
+            "Distinguished", "disjoint_k13_probe")
+    assert not boom.called
+    hist = json.loads(capsys.readouterr().out)["data"]["histogram"]
+    assert hist == {str(k): v for k, v in POINTS120_LINES.items()}
+
+
+@pytest.mark.parametrize("label,k", FLAT_CORPUS,
+                         ids=[f"{label}-{k}" for label, k in FLAT_CORPUS])
+def test_census_members_match_spanned_flats(label, k):
+    points = named(label).points
+    census = (line_census if k == 2 else plane_census)(points)
+    want = spanned_flats(points, k)
+    # same flats in the same order, same members in the same order
+    assert list(census.members.items()) == list(want.items())
+    for v, w in zip(census.members.values(), want.values()):
+        assert list(v) == list(w)
+    # histogram keys in the order the flats first show each size
+    hist = Counter(len(v) for v in want.values())
+    assert list(census.histogram.items()) == list(hist.items())
 
 
 def test_census_rejects_repeated_points():

@@ -29,7 +29,7 @@ from geproci.projgeom import (
     spanned_flats,
 )
 
-from oracles import collinear
+from oracles import FLAT_CORPUS, collinear
 
 P = 1073741827
 
@@ -284,12 +284,8 @@ def test_spanned_flats_without_rank_k_subsets_are_empty(points, k):
     assert spanned_flats(points, k) == {}
 
 
-_CORPUS = [("d4", 2), ("f4", 2), ("penrose", 2), ("h4", 2), ("e8", 2),
-           ("points120", 2), ("z1", 3), ("z2", 3), ("z3", 3)]
-
-
-@pytest.mark.parametrize("label,k", _CORPUS,
-                         ids=[f"{label}-{k}" for label, k in _CORPUS])
+@pytest.mark.parametrize("label,k", FLAT_CORPUS,
+                         ids=[f"{label}-{k}" for label, k in FLAT_CORPUS])
 def test_spanned_flats_match_elimination_oracle(label, k):
     points = configs.named(label).points
     got = spanned_flats(points, k)

@@ -2,9 +2,11 @@
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_9.json
 
-Run from the root of the repository. The parent revision is unpacked
-with `git archive` into a temporary directory (removed at the end; set
-TMPDIR to choose where).
+Run from the root of the repository. Both sides run from a fresh
+`git archive` in a temporary directory (removed at the end; set TMPDIR
+to choose where): the parent revision, and the working tree as it is on
+disk, untracked files included and ignored ones (`__pycache__`,
+`.bench_out`) left out.
 For every workload of BENCHMARK.json and each of ten fixed seeds,
 `bench/run.py` runs once in each tree for the benchmark's run length, the
 tree that goes first alternating from pair to pair, so slow drift of the
@@ -32,23 +34,31 @@ def git(*args, cwd=ROOT, env=None):
                           capture_output=True, text=True).stdout.strip()
 
 
-def src_tree():
-    """Tree id of src/ as it is on disk, untracked files included, built
-    in a throwaway index so the real one is not touched."""
+def disk_tree():
+    """Tree id of the working tree as it is on disk, untracked files
+    included and ignored ones not, built in a throwaway index so the real
+    one is not touched."""
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
-        git("add", "-A", "src", env=env)
-        return git("write-tree", "--prefix=src/", env=env)
+        git("add", "-A", ".", env=env)
+        return git("write-tree", env=env)
 
 
-def revision(rev=None):
-    """Commit and src/ tree of a revision, or of the working tree as it is
-    on disk when rev is None."""
-    if rev is not None:
-        return {"commit": git("rev-parse", "--verify", f"{rev}^{{commit}}"),
-                "src_tree": git("rev-parse", f"{rev}:src"), "dirty": False}
-    return {"commit": git("rev-parse", "HEAD"), "src_tree": src_tree(),
-            "dirty": bool(git("status", "--porcelain", "src"))}
+def export(tree_ish, dest):
+    """Unpack `git archive tree_ish` into the existing directory dest."""
+    archive = subprocess.run(["git", "archive", tree_ish], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def revision(rev, tree):
+    """Commit and src/ tree of a side: rev is the parent revision, or None
+    for the working tree, and tree is what the side runs from."""
+    return {"commit": git("rev-parse", "--verify",
+                          f"{rev or 'HEAD'}^{{commit}}"),
+            "src_tree": git("rev-parse", f"{tree}:src"),
+            "dirty": rev is None and bool(git("status", "--porcelain",
+                                              "src"))}
 
 
 def run_bench(root, workload, seed, seconds):
@@ -100,15 +110,14 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive,
-                       check=True)
-        roots = {"parent": parent_root, "change": ROOT}
-        revisions = {"parent": revision(args.parent), "change": revision()}
+    trees = {"parent": args.parent, "change": disk_tree()}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {side: Path(tmp) / side for side in trees}
+        for side, tree in trees.items():
+            roots[side].mkdir()
+            export(tree, roots[side])
+        revisions = {"parent": revision(args.parent, args.parent),
+                     "change": revision(None, trees["change"])}
         runs, machine = {}, None
         for workload in workloads:
             runs[workload] = {"parent": [], "change": []}
