@@ -43,7 +43,6 @@ from .configs import (
 from .field import FieldSpec, make_field, minpoly_constraint, order_constraint
 from .ideals import (
     deletion_h_vectors,
-    hilbert_function,
     hilbert_h_vector,
     ideal_dim,
     ideal_kernel,
@@ -56,7 +55,6 @@ from .projgeom import (
     ProjPoint,
     cross_ratio,
     harmonic_conjugate,
-    line_through,
     project_from,
     segre,
 )

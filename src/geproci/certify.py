@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .combinat import exact_covers, line_census
-from .ideals import (coprime_plane_curves, deletion_h_vectors,
-                     generated_to_next_degree, ideal_dim, ideal_kernel,
-                     interp_matrix, multiples, num_monomials, simple_scheme)
+from .ideals import (coprime_plane_curves, deletion_h_vectors, ideal_dim,
+                     ideal_kernel, interp_matrix, multiples,
+                     next_degree_generation, num_monomials, simple_scheme)
 from .projgeom import (CollisionDetected, flat_through, project_general,
                        random_point, span_dim)
 
@@ -241,8 +241,13 @@ def is_ci222_p4(points, trials=2, seed=0) -> Decision:
     is a complete intersection of three quadrics.
 
     Certified through the Hilbert function (1, 4, 7, 8) of the image, a
-    3-dimensional net of quadrics, and generation of the cubic piece by
-    that net.
+    3-dimensional net of quadrics, and generation of the cubic and quartic
+    pieces by that net. With that Hilbert function the ideal of the image
+    is generated in degrees up to 4, its regularity, so then the net
+    generates it and cuts out the 8 points. The cubics alone do not
+    decide: four of the points on a line put the line in every quadric
+    of the net, and the net still gives all the cubics. Each trial reports
+    the measured Hilbert function of the image in degrees 0 to 3.
     """
     p = points[0].p
     data = {"n_points": len(points), "trials_detail": []}
@@ -261,10 +266,8 @@ def is_ci222_p4(points, trials=2, seed=0) -> Decision:
         except CollisionDetected:
             data["trials_detail"].append("collision")
             continue
-        dim2 = ideal_dim(images, 2, p)
-        dim3 = ideal_dim(images, 3, p)
-        gen = generated_to_next_degree(images, 2, p)
-        hf = [min(len(images), num_monomials(4, t)) for t in range(4)]
+        dim2, dim3, gen = next_degree_generation(images, 2, p)
+        hf = [1, 4, 10 - dim2, 20 - dim3]
         detail = {"dim2": dim2, "dim3": dim3, "generated": gen, "hf": hf}
         data["trials_detail"].append(detail)
         if dim2 < 3 or dim3 < 12:
@@ -272,8 +275,10 @@ def is_ci222_p4(points, trials=2, seed=0) -> Decision:
             data["reason"] = "too few quadrics or cubics through the image"
             return dec
         if dim2 == 3 and dim3 == 12 and gen:
-            dec.verdict = YES
-            return dec
+            detail["generated_4"] = next_degree_generation(images, 3, p)[2]
+            if detail["generated_4"]:
+                dec.verdict = YES
+                return dec
     return dec
 
 

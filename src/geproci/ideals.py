@@ -146,31 +146,12 @@ def _as_scheme(points_or_scheme):
     return seq
 
 
-def hilbert_function(points, t: int, p: int) -> int:
-    """Hilbert function of the coordinate ring of the point set at t."""
-    if t < 0:
-        return 0
-    M = interp_matrix(simple_scheme(points), t, p)
-    return linalg.rank(M, p)
-
-
-def _h_vector(hf, n_pts):
-    """First differences of hf(0), hf(1), ... for a set of n_pts points,
-    up to saturation at n_pts; gives up after degree n_pts + 1."""
-    h = []
-    prev = 0
-    t = 0
-    while prev < n_pts and t <= n_pts + 1:
-        cur = hf(t)
-        h.append(cur - prev)
-        prev = cur
-        t += 1
-    return tuple(h)
-
-
 def hilbert_h_vector(points, p):
     """First differences of the Hilbert function, up to saturation."""
-    return _h_vector(lambda t: hilbert_function(points, t, p), len(points))
+    if not points:
+        return ()
+    ranks, _ = _degree_walk(points, p)
+    return _h_vectors(ranks[:, None], len(points))[0]
 
 
 def deletion_h_vectors(points, p):
@@ -179,25 +160,36 @@ def deletion_h_vectors(points, p):
     Let M_t be the degree-t evaluation matrix (a row per point) and V_t
     its column space in F_p^n. Then rank M_t = dim V_t, and deleting row i
     keeps that rank exactly when e_i is not in V_t, else lowers it by one.
+    """
+    n = len(points)
+    ranks, in_V = _degree_walk(points, p)
+    r = ranks[:, None]
+    return (_h_vectors(r, n)[0], _h_vectors((r - in_V)[:n + 1], n - 1))
 
-    One basis serves every degree. Each point is rescaled so that a fixed
-    linear form l = sum_j c^j x_j is 1 on it, for the first c that makes l
-    nonzero at every point (each point rules out at most nvars - 1 values
-    of c). Rescaling row i of every M_t by a nonzero lambda_i^t changes no
-    rank, with or without row i. Once l is 1 on the points, f -> l f shows
-    V_t inside V_{t+1}. The coefficient of l on x_0 is 1, so x_0 is also
-    replaced by l, a change of coordinates that changes no rank: then a
-    monomial x_0 m of degree t+1 takes the values of m, which lie in V_t,
-    and only the monomials free of x_0 leave a nonzero residual, whatever
-    zeros the given coordinates have. So a reduced basis of V_t, with its
-    pivots, grows into one of V_{t+1}: the degree-(t+1) evaluation vectors
-    are reduced against it by one exact product, only the residual is
+
+def _degree_walk(points, p):
+    """(ranks, in_V): rank M_t, and in_V[t, i] whether e_i is in V_t, for
+    M_t and V_t as in deletion_h_vectors and every degree t from 0.
+
+    One basis serves every degree (the degree walk of Buchberger-Moeller).
+    Each point is rescaled so that a fixed linear form l = sum_j c^j x_j
+    is 1 on it, for the first c that makes l nonzero at every point (each
+    point rules out at most nvars - 1 values of c). Rescaling row i of
+    every M_t by a nonzero lambda_i^t changes no rank, with or without
+    row i. Once l is 1 on the points, f -> l f shows V_t inside V_{t+1}.
+    The coefficient of l on x_0 is 1, so x_0 is also replaced by l, a
+    change of coordinates that changes no rank: then a monomial x_0 m of
+    degree t+1 takes the values of m, which lie in V_t, and only the
+    monomials free of x_0 leave a nonzero residual, whatever zeros the
+    given coordinates have. So a reduced basis of V_t, with its pivots,
+    grows into one of V_{t+1}: the degree-(t+1) evaluation vectors are
+    reduced against it by one exact product, only the residual is
     eliminated, its new pivot columns are cleared from the basis, and its
     rows join it. The basis is the identity on its pivot columns, so B
     keeps only the other columns, and e_i is in V_t exactly when i is a
     pivot whose row is zero in B. Degrees run until V_t is all of F_p^n,
-    when every deletion saturates too, or, for repeated points, up to the
-    last degree _h_vector reads.
+    when every deletion saturates too, or, for repeated points, up to
+    degree n + 1, the last that _h_vectors reads.
     """
     n = len(points)
     nvars = points[0].ambient_dim + 1
@@ -210,8 +202,8 @@ def deletion_h_vectors(points, p):
     else:
         raise ValueError(f"no linear form sum c^j x_j is nonzero at all "
                          f"{n} points over F_{p}")
-    coords = [[1] + [x * pow(int(v), -1, p) % p for x in P[1:]]
-              for P, v in zip(coords, ell.tolist())]
+    coords = [[1] + [x * w % p for x in P[1:]]
+              for P, w in zip(coords, (pow(v, -1, p) for v in ell.tolist()))]
     piv, free = np.zeros(0, dtype=np.intp), np.arange(n)
     B = np.zeros((0, n), dtype=np.int64)
     ranks, in_V = [], []
@@ -229,15 +221,13 @@ def deletion_h_vectors(points, p):
         ranks.append(len(piv))
         in_V.append(np.zeros(n, dtype=bool))
         in_V[-1][piv[~B.any(axis=1)]] = True
-    r = np.array(ranks)[:, None]
-    return (_h_vectors(r, n)[0],
-            _h_vectors((r - np.array(in_V))[:n + 1], n - 1))
+    return np.array(ranks), np.array(in_V)
 
 
 def _h_vectors(hf, n_pts):
-    """_h_vector of every column of a table hf[t, i] of Hilbert function
-    values of n_pts points, which runs to saturation or to degree
-    n_pts + 1."""
+    """First differences of every column of a table hf[t, i] of Hilbert
+    function values of n_pts points, up to saturation at n_pts; the table
+    runs to saturation or to degree n_pts + 1."""
     if n_pts == 0:
         return [()] * hf.shape[1]
     sat = hf >= n_pts
@@ -327,18 +317,18 @@ def coprime_plane_curves(F, G, a: int, b: int, p) -> bool:
     return linalg.rank(M, p) == len(M)
 
 
-def generated_to_next_degree(points, d: int, p) -> bool:
-    """Whether degree-(d+1) forms in the ideal all come from degree d.
+def next_degree_generation(points, d: int, p):
+    """(dim_d, dim_{d+1}, generated): the dimensions of the degree-d and
+    degree-(d+1) pieces of the ideal of the points, and whether the
+    degree-(d+1) piece is generated by the degree-d one.
 
     Compares the span of x_i * F over a kernel basis F of degree d with
     the full degree-(d+1) piece of the ideal.
     """
-    if not points:
-        return True
     nvars = points[0].ambient_dim + 1
     basis = ideal_kernel(points, d, p)
     target = ideal_dim(points, d + 1, p)
     if not basis:
-        return target == 0
-    rows = [multiples(F, nvars, d, 1, p) for F in basis]
-    return linalg.rank(np.concatenate(rows), p) == target
+        return 0, target, target == 0
+    rows = np.concatenate([multiples(F, nvars, d, 1, p) for F in basis])
+    return len(basis), target, linalg.rank(rows, p) == target

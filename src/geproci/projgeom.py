@@ -288,17 +288,6 @@ def spanned_flats(points, k):
     return flats_of_groups(points, k, flat_groups(points, k))
 
 
-def line_through(a: ProjPoint, b: ProjPoint) -> Flat:
-    f = flat_through([a, b])
-    if f.dim != 1:
-        raise NotDistinct("points coincide")
-    return f
-
-
-def are_collinear(points) -> bool:
-    return span_dim(points) <= 1
-
-
 def _frame_coords(a, b, x):
     """Coefficients (c1, c2) with x = c1*a + c2*b, for collinear points."""
     p = a.p

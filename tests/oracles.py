@@ -13,8 +13,8 @@ import numpy as np
 
 from geproci import linalg
 from geproci.configs import ParseError, UnresolvableSymbol
-from geproci.ideals import (ZeroForm, _h_vector, form_values, ideal_dim,
-                            interp_matrix, monomials, simple_scheme)
+from geproci.ideals import (ZeroForm, form_values, ideal_dim, interp_matrix,
+                            monomials, simple_scheme)
 from geproci.linalg import kernel_basis
 from geproci.projgeom import (ProjPoint, project_general, random_point,
                               spanned_flats)
@@ -369,6 +369,27 @@ def brianchon_by_pairs(points):
             return (tuple(six[i] for i in tri),
                     tuple(six[i] for i in sorted(rest)))
     return None
+
+
+def _h_vector(hf, n_pts):
+    """First differences of hf(0), hf(1), ... for a set of n_pts points,
+    up to saturation at n_pts; gives up after degree n_pts + 1."""
+    h = []
+    prev = 0
+    t = 0
+    while prev < n_pts and t <= n_pts + 1:
+        cur = hf(t)
+        h.append(cur - prev)
+        prev = cur
+        t += 1
+    return tuple(h)
+
+
+def h_vector_by_ranks(points, p):
+    """hilbert_h_vector with one evaluation matrix and one rank per
+    degree: the Hilbert function at t is the rank of M_t."""
+    return _h_vector(lambda t: linalg.rank(
+        interp_matrix(simple_scheme(points), t, p), p), len(points))
 
 
 def deletion_h_vectors_by_kernels(points, p):

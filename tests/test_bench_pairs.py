@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import py_compile
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,12 +28,19 @@ def test_pair_ratios_split_by_run_order():
                for s in summary.values())
 
 
-def test_working_tree_export_holds_the_sources_and_no_caches(tmp_path):
+def test_working_tree_export_holds_the_sources_and_no_caches(
+        tmp_path, monkeypatch):
     bp = _bench_pairs()
-    # the byte-code cache an import of the library leaves in the checkout
+    # a throwaway repository over the tree, so the test needs no checkout
+    git_dir, dest = tmp_path / "git", tmp_path / "tree"
+    subprocess.run(["git", "init", "-q", str(git_dir)], check=True)
+    monkeypatch.setenv("GIT_DIR", str(git_dir / ".git"))
+    monkeypatch.setenv("GIT_WORK_TREE", str(ROOT))
+    dest.mkdir()
+    # the byte-code cache an import of the library leaves in the tree
     init = ROOT / "src" / "geproci" / "__init__.py"
     assert Path(py_compile.compile(str(init), doraise=True)).is_file()
-    bp.export(bp.disk_tree(), tmp_path)
-    assert (tmp_path / "bench" / "run.py").is_file()
-    assert (tmp_path / "src" / "geproci" / "__init__.py").is_file()
-    assert not list(tmp_path.rglob("__pycache__"))
+    bp.export(bp.disk_tree(), dest)
+    assert (dest / "bench" / "run.py").is_file()
+    assert (dest / "src" / "geproci" / "__init__.py").is_file()
+    assert not list(dest.rglob("__pycache__"))

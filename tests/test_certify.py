@@ -130,7 +130,25 @@ def test_detect_grid_neither():
 def test_ci222_random_points_say_no():
     rng = random.Random(7)
     pts = [rand_pt(rng, 5) for _ in range(8)]
-    assert is_ci222_p4(pts, seed=3).verdict == NO
+    dec = is_ci222_p4(pts, seed=3)
+    assert dec.verdict == NO
+    assert dec.data["trials_detail"] == [
+        {"dim2": 2, "dim3": 12, "generated": False, "hf": [1, 4, 8, 8]}]
+
+
+def test_ci222_collinear_quadruple_is_not_certified():
+    # the image's quadrics all contain the image of the line, yet the
+    # Hilbert function is (1, 4, 7, 8) and the net gives every cubic:
+    # only the quartics tell it from a complete intersection
+    rng = random.Random(9)
+    a, b = rand_pt(rng, 5), rand_pt(rng, 5)
+    line = [ProjPoint.make([x + k * y for x, y in zip(a.coords, b.coords)],
+                           P) for k in range(1, 5)]
+    dec = is_ci222_p4(line + [rand_pt(rng, 5) for _ in range(4)], seed=0)
+    assert dec.verdict == INCONCLUSIVE
+    for detail in dec.data["trials_detail"]:
+        assert detail == {"dim2": 3, "dim3": 12, "generated": True,
+                          "hf": [1, 4, 7, 8], "generated_4": False}
 
 
 def test_ci222_wrong_cardinality():

@@ -13,8 +13,6 @@ from geproci.ideals import (
     ZeroForm,
     coprime_plane_curves,
     deletion_h_vectors,
-    generated_to_next_degree,
-    hilbert_function,
     hilbert_h_vector,
     ideal_dim,
     ideal_kernel,
@@ -23,6 +21,7 @@ from geproci.ideals import (
     monomials,
     multiples,
     multiplicity_weight,
+    next_degree_generation,
     num_monomials,
     simple_scheme,
 )
@@ -31,7 +30,7 @@ from geproci.projgeom import ProjPoint, project_general, segre
 from oracles import (coprime_by_resultants, deletion_h_vectors_by_kernels,
                      eval_monomial,
                      fat_conditions_by_lines, fat_rows_by_entries,
-                     rank_det_by_columns)
+                     h_vector_by_ranks, rank_det_by_columns)
 
 P = 1073741827
 
@@ -104,9 +103,10 @@ def test_ideal_kernel_vanishes_on_points():
 def test_hilbert_function_saturates_at_cardinality():
     rng = random.Random(4)
     pts = [rand_pt(rng, 4) for _ in range(6)]
-    assert hilbert_function(pts, 0, P) == 1
-    assert hilbert_function(pts, 2, P) == 6
-    assert hilbert_h_vector(pts, P) == (1, 3, 2)
+    # the Hilbert function at t is C(t + 3, 3) - ideal_dim
+    assert num_monomials(4, 2) - ideal_dim(pts, 2, P) == 6
+    assert hilbert_h_vector(pts, P) == h_vector_by_ranks(pts, P) == (1, 3, 2)
+    assert hilbert_h_vector([], P) == ()
 
 
 def test_char_too_small():
@@ -305,11 +305,15 @@ def test_multiples_evaluate_to_products(nvars, d, e):
             assert got == eval_monomial(x, m, P) * Fx % P
 
 
-def test_generated_to_next_degree_general_points():
+def test_next_degree_generation_general_points():
     rng = random.Random(17)
     pts = [rand_pt(rng, 3) for _ in range(3)]
     # 3 general plane points: conics through them generate the cubics
-    assert generated_to_next_degree(pts, 2, P)
+    assert next_degree_generation(pts, 2, P) == (3, 7, True)
+    # 8 general points of P3: x_i Q over the pencil of quadrics Q gives
+    # 8 of the 12 cubics
+    pts = [rand_pt(rng, 4) for _ in range(8)]
+    assert next_degree_generation(pts, 2, P) == (2, 12, False)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +321,8 @@ def test_generated_to_next_degree_general_points():
 
 def _assert_deletions_match_brute_force(pts):
     full, dropped = deletion_h_vectors(pts, P)
-    assert full == hilbert_h_vector(pts, P)
-    assert dropped == [hilbert_h_vector(pts[:i] + pts[i + 1:], P)
+    assert full == hilbert_h_vector(pts, P) == h_vector_by_ranks(pts, P)
+    assert dropped == [h_vector_by_ranks(pts[:i] + pts[i + 1:], P)
                        for i in range(len(pts))]
     return full, dropped
 
@@ -346,15 +350,36 @@ def test_deletion_h_vectors_match_brute_force():
     assert set(dropped) == {(1, 2)}
 
 
-@given(st.integers(min_value=2, max_value=3),
+@given(st.integers(min_value=2, max_value=5),
        st.lists(st.lists(st.integers(min_value=-2, max_value=2),
-                         min_size=4, max_size=4),
+                         min_size=6, max_size=6),
                 min_size=1, max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_deletion_h_vectors_agree_with_brute_force(ambient, rows):
     pts = [pt(*row[:ambient + 1]) for row in rows if any(row[:ambient + 1])]
     if pts:
         _assert_deletions_match_brute_force(pts)
+
+
+def _walked_sets():
+    yield "e8 in P7", configs.named("e8").points, (1, 7, 28, 84)
+    images = project_general(configs.named("points120").points,
+                             random.Random(repr((1, "geprocb"))))
+    # a (10,12) complete intersection of plane curves
+    yield "points120 image at seed 1", images, (
+        tuple(range(1, 11)) + (10, 10) + tuple(range(9, 0, -1)))
+
+
+@pytest.mark.parametrize("label,pts,h", list(_walked_sets()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_walk_h_vectors_match_per_degree_ranks(label, pts, h):
+    p = pts[0].p
+    full, dropped = deletion_h_vectors(pts, p)
+    assert full == hilbert_h_vector(pts, p) == h_vector_by_ranks(pts, p) == h
+    # one rank per degree for every deletion would take seconds here
+    for i in (0, len(pts) - 1):
+        rest = pts[:i] + pts[i + 1:]
+        assert dropped[i] == h_vector_by_ranks(rest, p)
 
 
 def _deletion_cases():

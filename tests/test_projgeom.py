@@ -16,11 +16,9 @@ from geproci.projgeom import (
     NotDistinct,
     ProjPoint,
     VertexInZ,
-    are_collinear,
     cross_ratio,
     flat_through,
     harmonic_conjugate,
-    line_through,
     normalize,
     points_of_rows,
     project_from,
@@ -72,7 +70,7 @@ def test_are_collinear_matches_oracle():
         pts = [[rng.randrange(3) for _ in range(4)] for _ in range(3)]
         if any(not any(r) for r in pts):
             continue
-        got = are_collinear([ProjPoint.make(r, P) for r in pts])
+        got = span_dim([ProjPoint.make(r, P) for r in pts]) <= 1
         assert got == collinear(*pts, P)
 
 
@@ -210,13 +208,6 @@ def test_project_from_is_fixed_by_the_vertex(vertex):
     assert project_from(v, Z) == images
     coordinate = [pt(*[int(i == j) for j in range(n1)]) for i in range(n1)]
     assert span_dim(project_from(v, coordinate)) == n1 - 2
-
-
-def test_line_through_contains_both():
-    a, b = pt(1, 2, 3, 4), pt(4, 3, 2, 1)
-    f = line_through(a, b)
-    assert f.contains(a) and f.contains(b)
-    assert f.dim == 1
 
 
 @st.composite
