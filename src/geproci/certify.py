@@ -23,8 +23,8 @@ from .combinat import exact_covers, line_census
 from .ideals import (coprime_plane_curves, deletion_h_vectors, ideal_dim,
                      ideal_kernel, interp_matrix, multiples,
                      next_degree_generation, num_monomials, simple_scheme)
-from .projgeom import (CollisionDetected, flat_through, project_general,
-                       random_point, span_dim)
+from .projgeom import (CollisionDetected, project_general, random_point,
+                       span_dim)
 
 class NotSubset(ValueError):
     pass
@@ -144,8 +144,10 @@ def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
 
 def _rulings(points, lines, size, exclude=()):
     """Exact covers of the points by disjoint lines of exactly `size`
-    points each, other than the lines in exclude, as lists of lines."""
-    usable = {v for v in lines.values() if len(v) == size}
+    points each, other than the lines in exclude: lists of frozensets of
+    points, from the lines given as runs of point indices."""
+    usable = {frozenset({points[i] for i in run})
+              for run in lines if len(run) == size}
     # the benchmark digests pin the rulings in list order, which follows
     # this numbering: points in set order, lines in the order of this set
     # after the in-place difference (a freshly built set(usable - exclude)
@@ -158,16 +160,11 @@ def _rulings(points, lines, size, exclude=()):
         yield [usable[o] for o in cover]
 
 
-def _rulings_meet(side_a, side_b, p):
+def _rulings_meet(side_a, side_b):
     """Every line of one ruling must meet every line of the other (the
     signature of two rulings of one quadric)."""
-    for sa in side_a:
-        for sb in side_b:
-            if sa & sb:
-                continue
-            if flat_through(list(sa) + list(sb)).dim > 2:
-                return False
-    return True
+    return all(sa & sb or span_dim(list(sa) + list(sb)) <= 2
+               for sa in side_a for sb in side_b)
 
 
 def detect_grid(points, seed=0, trials=2):
@@ -186,8 +183,8 @@ def detect_grid(points, seed=0, trials=2):
     """
     n = len(points)
     p = points[0].p
-    lines = line_census(points).members
-    sizes = {len(v) for v in lines.values()}
+    lines = line_census(points).runs
+    sizes = set(map(len, lines))
     rng = random.Random(repr((seed, "detect-grid")))
     dim_cache = {}
 
@@ -217,7 +214,7 @@ def detect_grid(points, seed=0, trials=2):
                     first_side_a = side_a
                 for side_b in itertools.islice(
                         _rulings(points, lines, a, exclude=side_a), 50):
-                    if _rulings_meet(side_a, side_b, p):
+                    if _rulings_meet(side_a, side_b):
                         return ("Grid", (a, b), (side_a, side_b))
         if half is not None:
             continue

@@ -12,6 +12,7 @@ import sys
 
 from . import certify, combinat, configs, ks, unexpected, weddle
 from .certify import YES, NO, INCONCLUSIVE, Decision
+from .field import PRIME_LIMIT
 
 
 _EXIT = {YES: 0, NO: 1, INCONCLUSIVE: 2, certify.DEGENERATE: 1}
@@ -49,7 +50,7 @@ def _cmd_construct(args):
 
 
 def _cmd_check_geproci(args):
-    cfg = configs.load(args.file, args.prime or configs.DEFAULT_MIN_BOUND)
+    cfg = configs.load(args.file, args.prime)
     return _emit(certify.is_geproci(cfg.points, args.a, args.b,
                                     trials=args.trials, seed=args.seed), args)
 
@@ -251,14 +252,18 @@ def _cmd_suite(args):
     return 0 if ok else 1
 
 
-def _int_at_least(low):
-    """argparse type: an int no smaller than low; argparse names the flag
-    in its message and main turns the usage error into exit code 3."""
+def _int_at_least(low, below=None):
+    """argparse type: an int no smaller than low, and below the power of
+    two `below` if one is given; argparse names the flag in its message
+    and main turns the usage error into exit code 3."""
     def integer(text):
         val = int(text)
         if val < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, "
                                              f"got {val}")
+        if below is not None and val >= below:
+            raise argparse.ArgumentTypeError(
+                f"must be below 2**{below.bit_length() - 1}, got {val}")
         return val
     return integer
 
@@ -285,7 +290,9 @@ def build_parser():
     g.add_argument("-b", type=int, required=True)
     g.add_argument("-t", "--trials", type=int, default=3)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--prime", type=int, default=None)
+    # the least prime to consider, in the range field.choose_prime searches
+    g.add_argument("--prime", type=_int_at_least(100, PRIME_LIMIT),
+                   default=configs.DEFAULT_MIN_BOUND)
     g.add_argument("file")
     g.set_defaults(fn=_cmd_check_geproci)
     ci = chk_sub.add_parser("ci222")

@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .projgeom import (_minors, flat_groups, flats_of_groups, points_of_rows,
-                       spanned_flats)
+from .projgeom import _minors, flat_groups, points_of_rows
 
 
 class NotA33Grid(ValueError):
@@ -30,18 +29,25 @@ class SizeMismatch(ValueError):
 class IncidenceCensus:
     """The (k-1)-flats spanned by k-subsets of the points, counted from
     their projgeom.flat_groups: histogram maps points-on-flat to the
-    number of flats, and members (Flat -> frozenset of points, as
-    spanned_flats gives it) is built on first read."""
+    number of flats. runs (each flat as the tuple of its point indices)
+    and members (run -> frozenset of those points, filled in run order,
+    which fixes its iteration order) are built on first read."""
 
     def __init__(self, points, k):
         self.flat_dim = k - 1
         self._points = points
-        self._groups = flat_groups(points, k)
-        self.histogram = dict(Counter(self._groups[2]))
+        self._on, self._sizes = flat_groups(points, k)
+        self.histogram = dict(Counter(self._sizes))
+
+    @cached_property
+    def runs(self):
+        on = iter(self._on)
+        return [tuple(itertools.islice(on, size)) for size in self._sizes]
 
     @cached_property
     def members(self):
-        return flats_of_groups(self._points, self.flat_dim + 1, self._groups)
+        pts = self._points
+        return {run: frozenset({pts[i] for i in run}) for run in self.runs}
 
 
 def _points(Z):
@@ -49,11 +55,8 @@ def _points(Z):
 
 
 def _lines(points):
-    """The lines spanned by the points, each as the list of the indices
-    of the points on it (its run of flat_groups)."""
-    _, on, sizes = flat_groups(points, 2)
-    runs = iter(on)
-    return [list(itertools.islice(runs, size)) for size in sizes]
+    """The lines spanned by the points, as runs of point indices."""
+    return IncidenceCensus(points, 2).runs
 
 
 def line_census(Z) -> IncidenceCensus:
@@ -75,13 +78,12 @@ def brianchon_points(Z):
     with the characteristic {2: 18, 3: 16} line census.
     """
     points = _points(Z)
-    members = spanned_flats(points, 2)
-    if len(points) != 9 or sorted(
-            len(v) for v in members.values()) != [2] * 18 + [3] * 6:
+    lines = _lines(points)
+    if len(points) != 9 or sorted(map(len, lines)) != [2] * 18 + [3] * 6:
         raise NotA33Grid("expected the 9 points and 6+18 lines of a "
                          "(3,3)-grid")
     p = points[0].p
-    B = np.array([f.basis for f in members if len(members[f]) == 2])
+    B = np.array([[points[i].coords for i in r] for r in lines if len(r) == 2])
     pairs = list(itertools.combinations(range(len(B)), 2))
     i, j = np.array(pairs).T
     # lines (a, b) and (c, d) meet at x_0 a + x_1 b = -(x_2 c + x_3 d),
@@ -119,7 +121,7 @@ def brianchon_points(Z):
 # weak combinatorial equivalence
 
 def _line_structure(n, lines):
-    """(profiles, nbr, classes, big) of n points and the index lists of
+    """(profiles, nbr, classes, big) of n points and the index runs of
     their lines: the sorted sizes of the lines through each point, the
     bitmask of its two-point-line neighbours, a bitmask of the points of
     each profile, and the bitmasks of the lines with three or more
@@ -148,21 +150,16 @@ def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _index_lines(points, members):
-    """The members of each line as lists of indices into points."""
-    index = {q: i for i, q in enumerate(points)}
-    return [[index[q] for q in v] for v in members.values()]
-
-
 def k33_probe(points, members):
     """Fingerprint of complete bipartite K_{3,3} subgraphs of the
-    two-point-line graph, between points of distinct line profiles.
+    two-point-line graph, between points of distinct line profiles, read
+    off the runs that key members = line_census(points).members.
 
     Returns the set of (profile_A, profile_B) pairs for which three
     points of profile A share at least three common neighbors of
     profile B. Invariant under collinearity-preserving bijections.
     """
-    return _k33(_line_structure(len(points), _index_lines(points, members)))
+    return _k33(_line_structure(len(points), members))
 
 
 def _k33(structure):
@@ -182,13 +179,13 @@ def _k33(structure):
 def disjoint_k13_probe(points, members):
     """Fingerprint of disjoint K_{1,3} pairs: two points of equal line
     profile whose two-point-line neighborhoods inside some line contain
-    disjoint triples.
+    disjoint triples (members as for k33_probe).
 
     Returns the set of (profile, line_size) pairs for which such a
     configuration exists. Invariant under collinearity-preserving
     bijections.
     """
-    return _k13(_line_structure(len(points), _index_lines(points, members)))
+    return _k13(_line_structure(len(points), members))
 
 
 def _k13(structure):

@@ -57,8 +57,9 @@ def _parse(text):
     """Syntax tree of a coordinate expression, by recursive descent over
     +, -, *, /, ^ (integer exponents, possibly negative and
     parenthesized), parentheses, integers and symbol names: an int, a
-    symbol name, (op, left, right) for op in + - * /, ("neg", x) or
-    ("^", base, int). Each distinct text is parsed once."""
+    symbol name, ("chain", x, ((op, y), ...)) for a left-associative
+    chain of + and - or of * and /, ("neg", x) or ("^", base, int). Each
+    distinct text is parsed once."""
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -80,11 +81,11 @@ def _parse(text):
                 f"expected {expected!r} at column {at} in {text!r}")
         return tok, at
 
-    def binary(ops, operand):   # left-associative
-        v = operand()
+    def binary(ops, operand):   # left-associative, kept flat
+        first, rest = operand(), []
         while peek() in ops:
-            v = (take()[0], v, operand())
-        return v
+            rest.append((take()[0], operand()))
+        return ("chain", first, tuple(rest)) if rest else first
 
     def expr():
         return binary(("+", "-"), lambda: binary(("*", "/"), unary))
@@ -126,7 +127,10 @@ def _parse(text):
             return tok
         raise ParseError(f"unexpected {tok!r} at column {at} in {text!r}")
 
-    tree = expr()
+    try:
+        tree = expr()
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply: {text!r}") from None
     if tokens:
         tok, at = tokens[-1]
         raise ParseError(f"trailing {tok!r} at column {at} in {text!r}")
@@ -137,7 +141,8 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _evaluate(tree, env, p):
-    """Value mod p of a syntax tree from _parse, with the symbols in env."""
+    """Value mod p of a syntax tree from _parse, with the symbols in env;
+    a chain such as 1+1+...+1 runs in a loop, so only nesting recurses."""
     if isinstance(tree, int):
         return tree % p
     if isinstance(tree, str):
@@ -146,20 +151,22 @@ def _evaluate(tree, env, p):
         return env[tree] % p
     if tree[0] == "neg":
         return -_evaluate(tree[1], env, p) % p
-    op, left, right = tree
-    v = _evaluate(left, env, p)
-    if op == "^":
+    v = _evaluate(tree[1], env, p)
+    if tree[0] == "^":
+        right = tree[2]
         if right < 0:
             if v == 0:
                 raise ParseError("zero to a negative power")
             v, right = pow(v, p - 2, p), -right
         return pow(v, right, p)
-    w = _evaluate(right, env, p)
-    if op == "/":
-        if w == 0:
-            raise ParseError("division by zero")
-        op, w = "*", pow(w, p - 2, p)
-    return _ARITH[op](v, w) % p
+    for op, right in tree[2]:
+        w = _evaluate(right, env, p)
+        if op == "/":
+            if w == 0:
+                raise ParseError("division by zero")
+            op, w = "*", pow(w, p - 2, p)
+        v = _ARITH[op](v, w) % p
+    return v
 
 
 def eval_expr(text, env, p) -> int:
@@ -688,8 +695,8 @@ def load(path, min_bound=DEFAULT_MIN_BOUND) -> Configuration:
                              f"{exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: the top level must be a JSON object")
-    if type(doc.get("ambient_dim")) is not int:
-        raise ParseError(f"{path}: 'ambient_dim' must be an integer")
+    if type(doc.get("ambient_dim")) is not int or doc["ambient_dim"] < 0:
+        raise ParseError(f"{path}: 'ambient_dim' must be an integer >= 0")
     if not isinstance(doc.get("points"), list) or not doc["points"]:
         raise ParseError(f"{path}: 'points' must be a non-empty list")
     width = doc["ambient_dim"] + 1

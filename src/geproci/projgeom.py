@@ -5,13 +5,12 @@ coordinate scaled to 1) so equality and hashing just work; a matrix of
 rows becomes points through points_of_rows, one product for all rows.
 Flats carry the reduced row echelon form of a spanning matrix, which is
 likewise canonical. Censuses group k-subsets by their Pluecker
-coordinates (k x k minors, first nonzero one scaled to 1) and read each
-flat's echelon form off its coordinates by Cramer's rule, so they
-eliminate nothing.
+coordinates (k x k minors, first nonzero one scaled to 1), so they
+eliminate nothing, and give each flat as the run of the indices of the
+points on it.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import linalg
 
 
-SUBSET_CHUNK = 512   # k-subsets per batch of minors in spanned_flats
+SUBSET_CHUNK = 512   # k-subsets per batch of minors in flat_groups
 
 
 class EmptyInput(ValueError):
@@ -198,94 +197,44 @@ def _rank_k_subsets(coords, k, p):
     return np.concatenate(keys), np.concatenate(subsets)
 
 
-def _group_subsets(coords, k, p):
-    """(keys, rows, sizes) of the flats spanned by those subsets, in the
-    order of their first subset: the Pluecker keys of the flats, the rows
-    on each flat in the order the subsets first meet them, flat after
-    flat, and the number of rows on each."""
-    n = len(coords)
-    K, S = _rank_k_subsets(coords, k, p)
+def flat_groups(points, k):
+    """(on, sizes) of the (k-1)-flats spanned by k-subsets of the points:
+    the indices of the points on the flats, one run per flat (flats in
+    the order of their first subsets, points in the order those subsets
+    first reach them), and the run lengths. Raises NotDistinct if two of
+    the points coincide and MixedAmbient if they lie in different spaces.
+    """
+    index = {}
+    for i, q in enumerate(points):
+        if index.setdefault(q, i) != i:
+            raise NotDistinct(f"points {index[q]} and {i} coincide")
+    if len(points) < k:
+        return [], []
+    _check_common(points)
+    if k > len(points[0].coords):   # no k x k minors: no subset has rank k
+        return [], []
+    n = len(points)
+    K, S = _rank_k_subsets(np.array([q.coords for q in points],
+                                    dtype=np.int64), k, points[0].p)
     order = np.lexsort(K.T[::-1])   # stable: a group's first subset leads
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = np.diff(K[order], axis=0).any(axis=1)
+    del K   # not needed for the (flat, row) codes, which set the peak
     # first[i]: the first subset spanning the flat of subset i; the flats
     # are numbered in the order of their first subsets
     first = np.empty_like(order)
     first[order] = order[starts][np.cumsum(starts) - 1]
     lead = first == np.arange(len(first))
     group = (np.cumsum(lead) - 1)[first]
-    K = K[lead]   # only the flats' keys are needed from here on
     # each (flat, row) pair once, by flat, then by first sight; int32
     # codes whenever they fit, as np.unique copies and sorts them
-    code = np.int32 if len(K) * n < 2**31 else np.int64
+    code = np.int32 if lead.sum() * n < 2**31 else np.int64
     codes, seen = np.unique((group.astype(code)[:, None] * n
                              + S.astype(code, copy=False)).ravel(),
                             return_index=True)
     codes = codes[np.lexsort((seen, codes // n))]
     sizes = np.bincount(codes // n)
-    return K, (codes % n).tolist(), sizes.tolist()
-
-
-def _echelon_entries(K, k, m, p):
-    """Entries of the reduced echelon forms of the flats with Pluecker
-    keys K (rows of k x k minors of k x m matrices), flat after flat.
-    Nothing is eliminated: a flat's first nonzero Pluecker coordinate J
-    is its first column basis, so its pivots, and by Cramer's rule row i
-    of its echelon form is (-1)**i W[J - j_i], where W[I, c] = +-P[I + c]
-    is signed as in the Laplace expansion (P_J = 1)."""
-    cols, rest = _laplace_table(m, k)
-    W = np.zeros((len(K), math.comb(m, k - 1), m), dtype=K.dtype)
-    for t in range(k):
-        W[:, rest[t], cols[t]] = (-1) ** t * K
-    J = rest[:, (K != 0).argmax(axis=1)].T
-    return (W[np.arange(len(K))[:, None], J]
-            * (-1) ** np.arange(k)[:, None] % p).ravel().tolist()
-
-
-def flat_groups(points, k):
-    """(keys, on, sizes) of the (k-1)-flats spanned by k-subsets of the
-    points, as _group_subsets gives them (on: point indices), in the
-    order spanned_flats makes its flats. Raises NotDistinct if two of the
-    points coincide and MixedAmbient if they live in different spaces."""
-    first = {}
-    for i, q in enumerate(points):
-        if first.setdefault(q, i) != i:
-            raise NotDistinct(f"points {first[q]} and {i} coincide")
-    if len(points) < k:
-        return None, [], []
-    _check_common(points)
-    if k > len(points[0].coords):   # no k x k minors: no subset has rank k
-        return None, [], []
-    coords = np.array([q.coords for q in points], dtype=np.int64)
-    return _group_subsets(coords, k, points[0].p)
-
-
-def flats_of_groups(points, k, groups):
-    """{Flat: frozenset of points} of flat_groups(points, k)."""
-    keys, on, sizes = groups
-    if not sizes:
-        return {}
-    p, m = points[0].p, len(points[0].coords)
-    # basis tuples straight from the entries: rows of m, then k rows
-    rows = zip(*[iter(_echelon_entries(keys, k, m, p))] * m)
-    bases = zip(*[rows] * k)
-    members = [points[i] for i in on]
-    out, lo = {}, 0
-    for basis, size in zip(bases, sizes):
-        # through a set, as the per-subset updates built it, so that the
-        # frozenset iterates in the same order
-        out[Flat(basis, p)] = frozenset(set(members[lo:lo + size]))
-        lo += size
-    return out
-
-
-def spanned_flats(points, k):
-    """{Flat: frozenset of points} for the (k-1)-flats spanned by k-subsets
-    of the points. Flats and their members come in the order that adding
-    the points of each subset in itertools.combinations order gives, but
-    one Flat and one frozenset are made per flat, not per subset. Raises
-    NotDistinct if two of the points coincide."""
-    return flats_of_groups(points, k, flat_groups(points, k))
+    return (codes % n).tolist(), sizes.tolist()
 
 
 def _frame_coords(a, b, x):
@@ -369,7 +318,10 @@ def project_from(vertex: ProjPoint, points):
 
 def project_general(points, rng):
     """Images of the points under projection from a random vertex,
-    resampling the vertex (up to 25 times) on collisions."""
+    resampling the vertex (up to 25 times) on collisions. Raises
+    ValueError for points of P^0, which has no vertex off the points."""
+    if points[0].ambient_dim == 0:
+        raise ValueError("points of P^0 have no projection")
     p = points[0].p
     for _ in range(25):
         P = random_point(points[0].ambient_dim + 1, p, rng)

@@ -16,8 +16,8 @@ from geproci.configs import ParseError, UnresolvableSymbol
 from geproci.ideals import (ZeroForm, form_values, ideal_dim, interp_matrix,
                             monomials, simple_scheme)
 from geproci.linalg import kernel_basis
-from geproci.projgeom import (ProjPoint, project_general, random_point,
-                              spanned_flats)
+from geproci.projgeom import (ProjPoint, flat_through, project_general,
+                              random_point)
 
 
 def det_cofactor(rows, p):
@@ -221,8 +221,41 @@ def _resultant(f, g, p) -> int:
 
 
 # ---------------------------------------------------------------------------
-# named configurations and flat sizes k on which the flat groupings are
-# checked against the one-subset-at-a-time oracle
+# flats one k-subset at a time, and the named configurations and flat
+# sizes k on which the flat groupings are checked against them
+
+def flats_by_flat_through(points, k):
+    """{Flat: list of its points} of the (k-1)-flats spanned by k-subsets
+    of the points, one flat_through per subset: flats in the order of
+    their first subsets in itertools.combinations order, and the points
+    of each in the order those subsets first reach them."""
+    flats = {}
+    for t in itertools.combinations(points, k):
+        f = flat_through(list(t))
+        if f.dim == k - 1:
+            on = flats.setdefault(f, [])
+            on.extend(q for q in t if q not in on)
+    return flats
+
+
+def members_by_flat_through(points, k):
+    """What IncidenceCensus(points, k).members must be, item for item:
+    the flats of flats_by_flat_through in their order, each keyed by the
+    indices of its points in their order and mapped to the frozenset of
+    those points filled through a set in that order, which fixes the
+    frozenset's iteration order."""
+    index = {q: i for i, q in enumerate(points)}
+    return {tuple(index[q] for q in on): frozenset(set(on))
+            for on in flats_by_flat_through(points, k).values()}
+
+
+def same_members(got, want):
+    """Equal {run: frozenset} dicts with the same item order and the same
+    iteration order inside each frozenset."""
+    return (list(got.items()) == list(want.items())
+            and [list(v) for v in got.values()]
+            == [list(v) for v in want.values()])
+
 
 FLAT_CORPUS = [("d4", 2), ("f4", 2), ("penrose", 2), ("h4", 2), ("e8", 2),
                ("points120", 2), ("z1", 3), ("z2", 3), ("z3", 3)]
@@ -335,7 +368,7 @@ def flat_samples_one_by_one(flat, need, p, rng):
 
 def collinear_triples_by_points(points, members):
     """Index triples of the points that lie together on one of the lines
-    of members (line -> point set), looked up point by point."""
+    of members (line -> its points), looked up point by point."""
     index = {q: i for i, q in enumerate(points)}
     return {frozenset(index[q] for q in t) for v in members.values()
             for t in itertools.combinations(v, 3)}
@@ -344,7 +377,7 @@ def collinear_triples_by_points(points, members):
 def brianchon_by_pairs(points):
     """The two collinear triples of brianchon_points for a (3,3)-grid, with
     every pair of two-point lines intersected by its own kernel."""
-    members = spanned_flats(points, 2)
+    members = flats_by_flat_through(points, 2)
     two_lines = [f for f, v in members.items() if len(v) == 2]
     conc = {}
     for f1, f2 in itertools.combinations(two_lines, 2):
@@ -362,7 +395,7 @@ def brianchon_by_pairs(points):
             conc.setdefault(q, set()).update((f1, f2))
     six = sorted((q for q, ls in conc.items() if len(ls) >= 3),
                  key=lambda q: q.coords)
-    coll = collinear_triples_by_points(six, spanned_flats(six, 2))
+    coll = collinear_triples_by_points(six, flats_by_flat_through(six, 2))
     for tri in itertools.combinations(range(6), 3):
         rest = frozenset(range(6)).difference(tri)
         if frozenset(tri) in coll and rest in coll:

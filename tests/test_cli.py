@@ -391,6 +391,56 @@ def test_prime_above_int64_safe_range_is_usage_error(d4_file, capsys):
     assert "2**31" in err
 
 
+@pytest.mark.parametrize("prime, message", [
+    ("7", "must be at least 100, got 7"),
+    ("0", "must be at least 100, got 0"),
+    ("2147483648", "must be below 2**31, got 2147483648"),
+    ("x", "invalid integer value: 'x'")])
+def test_prime_out_of_range_names_the_flag(d4_file, capsys, prime, message):
+    # the fault is the option, not the file's symbols
+    code = main(["check", "geproci", "-a", "3", "-b", "4",
+                 "--prime", prime, d4_file])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert f"argument --prime: {message}" in err
+    assert "d4.json" not in err
+
+
+def _write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, doc, culprit", [
+    (["census", "lines"], {"ambient_dim": -1, "points": [[]]},
+     "'ambient_dim'"),
+    (["unexpected", "c", "-t", "3"], {"ambient_dim": 0, "points": [["1"]]},
+     "P^0"),
+    (["census", "lines"],
+     {"ambient_dim": 2, "points": [["(" * 3000 + "1" + ")" * 3000, "0", "1"]]},
+     "nested too deeply"),
+], ids=["negative-ambient-dim", "point-of-P0", "deep-parentheses"])
+def test_input_at_fault_is_named(tmp_path, capsys, argv, doc, culprit):
+    code = main(argv + [_write_json(tmp_path, "bad.json", doc)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and culprit in err
+    for fault in ("RecursionError", "CollisionDetected", "Traceback"):
+        assert fault not in err
+
+
+def test_long_flat_sum_loads(tmp_path, capsys):
+    path = _write_json(tmp_path, "sum.json", {
+        "ambient_dim": 2, "points": [["+".join(["1"] * 3001), "0", "1"],
+                                     ["0", "1", "0"], ["1", "0", "0"]]})
+    code, out = run(capsys, "--json", "census", "lines", path)
+    assert code == 0
+    assert json.loads(out)["data"]["histogram"] == {"2": 3}
+
+
 def test_bad_config_shape_is_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"ambient_dim": 3, "points": []}))

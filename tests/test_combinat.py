@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geproci import projgeom
+from geproci import certify, projgeom
 from geproci.cli import main
 from geproci.combinat import (
     NotA33Grid,
@@ -22,7 +22,7 @@ from geproci.combinat import (
 )
 from geproci.configs import grid, named, save, unity_grid, z56
 from geproci.field import make_field
-from geproci.projgeom import NotDistinct, ProjPoint, span_dim, spanned_flats
+from geproci.projgeom import Flat, NotDistinct, ProjPoint, span_dim
 
 from oracles import (
     FLAT_CORPUS,
@@ -32,6 +32,8 @@ from oracles import (
     brianchon_by_pairs,
     disjoint_k13_probe_sets,
     k33_probe_sets,
+    members_by_flat_through,
+    same_members,
 )
 
 
@@ -148,7 +150,7 @@ POINTS120_LINES = {2: 3240, 3: 240, 4: 90, 5: 144, 6: 80}
 
 def test_counts_and_equivalence_build_no_flats(tmp_path, capsys):
     # histograms, the census command and the equivalence test count on
-    # point indices; only members makes Flat objects
+    # point indices
     path = tmp_path / "points120.json"
     save(named("points120"), str(path))
     boom = mock.Mock(side_effect=AssertionError("Flat built"))
@@ -169,14 +171,23 @@ def test_counts_and_equivalence_build_no_flats(tmp_path, capsys):
 def test_census_members_match_spanned_flats(label, k):
     points = named(label).points
     census = (line_census if k == 2 else plane_census)(points)
-    want = spanned_flats(points, k)
-    # same flats in the same order, same members in the same order
-    assert list(census.members.items()) == list(want.items())
-    for v, w in zip(census.members.values(), want.values()):
-        assert list(v) == list(w)
+    want = members_by_flat_through(points, k)
+    assert same_members(census.members, want)
     # histogram keys in the order the flats first show each size
-    hist = Counter(len(v) for v in want.values())
+    hist = Counter(map(len, want))
     assert list(census.histogram.items()) == list(hist.items())
+
+
+def test_members_grids_and_brianchon_build_no_flats():
+    # lines are runs of point indices: members, grid detection and the
+    # concurrency points read them without a Flat
+    with mock.patch.object(Flat, "__init__",
+                           side_effect=AssertionError("Flat built")):
+        assert len(line_census(named("f4")).members) == 122
+        assert len(plane_census(named("d4")).members) == 24
+        assert certify.detect_grid(named("d4").points)[0] == "HalfGrid"
+        assert certify.detect_grid(unity_grid(3, 4).points)[0] == "Grid"
+        assert len(brianchon_points(unity_grid(3, 3))) == 2
 
 
 def test_census_rejects_repeated_points():

@@ -67,6 +67,21 @@ def test_eval_expr_parse_errors():
             eval_expr(bad, {}, P)
 
 
+def test_eval_expr_long_flat_chains():
+    # a chain nests one level per operation, but nothing in it is nested
+    assert eval_expr("+".join(["1"] * 3001), {}, P) == 3001
+    assert eval_expr("-".join(["1"] * 3001), {}, P) == P - 2999
+    assert eval_expr("*".join(["2"] * 3001) + "/" + "/".join(["2"] * 3000),
+                     {}, P) == 2
+
+
+def test_eval_expr_deep_parentheses_name_the_text():
+    text = "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(ParseError, match="nested too deeply") as info:
+        eval_expr(text, {}, P)
+    assert text in str(info.value)
+
+
 # 'w' is never bound, 'z' is bound to 0 (division by zero, zero to a
 # negative power) and '$' is outside the grammar
 _ENV = {"u": 5, "t": 12, "z": 0}
@@ -333,6 +348,7 @@ def _with_symbol(sym):
 @pytest.mark.parametrize("doc, field", [
     ([["1", "0", "0"]], "top level"),
     ({"points": [["1", "0", "0"]]}, "'ambient_dim'"),
+    ({"ambient_dim": -1, "points": [[]]}, "'ambient_dim'"),
     ({"ambient_dim": 2, "points": []}, "'points'"),
     ({"ambient_dim": 2, "points": [["1", "0", "0"]], "symbols": {}},
      "'symbols'"),
@@ -352,7 +368,8 @@ def _with_symbol(sym):
      "points[1] must be a list of 3 coordinates"),
     ({"ambient_dim": 3, "points": [["1", "0", "0", "0"], "1000"]},
      "points[1] must be a list of 4 coordinates"),
-], ids=["top-level-list", "missing-ambient-dim", "empty-points",
+], ids=["top-level-list", "missing-ambient-dim", "negative-ambient-dim",
+        "empty-points",
         "symbols-not-a-list", "symbol-missing-name", "symbol-non-string-name",
         "symbol-neither-key", "symbol-both-keys", "symbol-non-object",
         "symbol-repeated-name", "symbol-order-zero", "symbol-order-text",

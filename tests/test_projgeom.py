@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geproci import configs, linalg, projgeom
-from geproci.combinat import line_census, plane_census
+from geproci.combinat import IncidenceCensus, line_census, plane_census
 from geproci.field import make_field, order_constraint
 from geproci.projgeom import (
     CollisionDetected,
@@ -17,6 +17,7 @@ from geproci.projgeom import (
     ProjPoint,
     VertexInZ,
     cross_ratio,
+    flat_groups,
     flat_through,
     harmonic_conjugate,
     normalize,
@@ -24,10 +25,10 @@ from geproci.projgeom import (
     project_from,
     segre,
     span_dim,
-    spanned_flats,
 )
 
-from oracles import FLAT_CORPUS, collinear
+from oracles import (FLAT_CORPUS, collinear, flats_by_flat_through,
+                     members_by_flat_through, same_members)
 
 P = 1073741827
 
@@ -190,6 +191,12 @@ def test_project_from_collision():
         project_from(pt(1, 1, 0, 0), Z)
 
 
+def test_project_general_refuses_points_of_P0():
+    # every vertex of P^0 is the point itself: no draw can succeed
+    with pytest.raises(ValueError, match=r"P\^0"):
+        projgeom.project_general([pt(1)], random.Random(0))
+
+
 @pytest.mark.parametrize("vertex", [(0, 2, 3, 5), (7, 0, 1, 0, 9),
                                     (3, 1, 4, 1, 5, 9)])
 def test_project_from_is_fixed_by_the_vertex(vertex):
@@ -243,13 +250,13 @@ def _point_sets(draw):
     return points, k, chunk
 
 
-def _flats_one_subset_at_a_time(points, k):
-    flats = {}
-    for t in itertools.combinations(points, k):
-        f = flat_through(list(t))
-        if f.dim == k - 1:
-            flats.setdefault(f, set()).update(t)
-    return {f: frozenset(v) for f, v in flats.items()}
+def _runs_as_points(points, k):
+    """The runs of flat_groups(points, k) as lists of points."""
+    on, sizes = flat_groups(points, k)
+    assert len(on) == sum(sizes)
+    on = iter(on)
+    return [[points[i] for i in itertools.islice(on, size)]
+            for size in sizes]
 
 
 @given(_point_sets())
@@ -257,12 +264,8 @@ def _flats_one_subset_at_a_time(points, k):
 def test_spanned_flats_match_grouping_by_flat_through(case):
     points, k, chunk = case
     with mock.patch.object(projgeom, "SUBSET_CHUNK", chunk):
-        got = spanned_flats(points, k)
-    want = _flats_one_subset_at_a_time(points, k)
-    # same flats in the same order, same members in the same order
-    assert list(got.items()) == list(want.items())
-    for v, w in zip(got.values(), want.values()):
-        assert list(v) == list(w)
+        got = IncidenceCensus(points, k).members
+    assert same_members(got, members_by_flat_through(points, k))
 
 
 @pytest.mark.parametrize("points,k", [
@@ -272,23 +275,19 @@ def test_spanned_flats_match_grouping_by_flat_through(case):
                                      [1, 1, 1], [1, 2, 3])], 4),
 ], ids=["collinear-planes", "coplanar-solids", "P2-solids"])
 def test_spanned_flats_without_rank_k_subsets_are_empty(points, k):
-    assert spanned_flats(points, k) == {}
+    assert flat_groups(points, k) == ([], [])
 
 
 @pytest.mark.parametrize("label,k", FLAT_CORPUS,
                          ids=[f"{label}-{k}" for label, k in FLAT_CORPUS])
 def test_spanned_flats_match_elimination_oracle(label, k):
     points = configs.named(label).points
-    got = spanned_flats(points, k)
-    want = _flats_one_subset_at_a_time(points, k)
-    # same flats in the same order, same members in the same order
-    assert list(got.items()) == list(want.items())
-    for v, w in zip(got.values(), want.values()):
-        assert list(v) == list(w)
+    got = _runs_as_points(points, k)
+    assert got == list(flats_by_flat_through(points, k).values())
 
 
 def test_censuses_run_without_elimination():
-    # the keys and echelon forms come from minors alone
+    # the Pluecker keys come from minors alone
     boom = mock.Mock(side_effect=AssertionError("elimination called"))
     with mock.patch.object(linalg, "_eliminate", boom):
         assert line_census(configs.named("d4")).histogram == {2: 18, 3: 16}
@@ -297,20 +296,20 @@ def test_censuses_run_without_elimination():
     assert not boom.called
 
 
-# tracemalloc peak of spanned_flats(points120, 3) with the echelon-keyed
-# grouping (subsets reduced by a stacked rref, since removed), Python
-# 3.11, numpy 2.4
+# tracemalloc peak of the plane flats of points120 with their members when
+# they were grouped by echelon form (subsets reduced by a stacked rref,
+# since removed), Python 3.11, numpy 2.4
 ELIMINATION_PEAK = 66_364_166
 
 
 def test_plane_flats_of_points120_stay_below_elimination_peak():
     points = configs.named("points120").points
-    spanned_flats(points[:10], 3)   # first-call set-up is not counted
+    plane_census(points[:10]).members   # first-call set-up is not counted
     tracemalloc.start()
     try:
-        flats = spanned_flats(points, 3)
+        members = plane_census(points).members
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(flats) == 27000
+    assert len(members) == 27000
     assert peak < ELIMINATION_PEAK
