@@ -82,8 +82,8 @@ def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
     Per trial: project from a random vertex, the one random choice, and
     check that the degree-a and degree-b pieces of the image ideal have
     exactly the dimensions a complete intersection forces. Then F is
-    the first degree-a form and G the second one when a = b, else the
-    first degree-b form outside F times the degree-(b - a) forms. Any
+    the first degree-a form and G the first degree-b form outside F
+    times the degree-(b - a) forms (outside F itself when a = b). Any
     two such G differ by a multiple of F, so they share the same factors
     with F, and one exact rank (coprime_plane_curves) decides whether F
     and G share a component. A too-small dimension is a sound "No"
@@ -127,11 +127,8 @@ def is_geproci(points, a, b, trials=2, seed=0) -> Decision:
         if dim_a > expect_a or dim_b > expect_b:
             continue
         F = kernel_a[0]
-        if a == b:
-            G = kernel_a[1]
-        else:
-            _, outside = _span_test(multiples(F, 3, a, b - a, p), p)
-            G = kernel_b[int(outside(kernel_b).argmax())]
+        _, outside = _span_test(multiples(F, 3, a, b - a, p), p)
+        G = kernel_b[int(outside(kernel_b).argmax())]
         if coprime_plane_curves(F, G, a, b, p):
             dec.verdict = YES
             data["error_bound"] = f"{a * b}/{p}"

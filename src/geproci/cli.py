@@ -78,8 +78,7 @@ def _cmd_weddle(args):
     cfg = configs.load(args.file)
     if args.what == "degree":
         deg = weddle.weddle_degree(cfg.points, args.d, seed=args.seed)
-        data = {"degree": deg}
-        verdict = YES
+        data, verdict, trials = {"degree": deg}, YES, weddle.DEGREE_LINES
     else:
         if not args.probe:
             print("weddle member needs --probe FILE", file=sys.stderr)
@@ -87,9 +86,9 @@ def _cmd_weddle(args):
         probe = configs.load(args.probe)
         flags = weddle.members(cfg.points, args.d, probe.points,
                                seed=args.seed)
-        data = {"members": flags}
+        data, trials = {"members": flags}, weddle.RANK_TRIALS
         verdict = YES if all(flags) else NO
-    return _emit(Decision(verdict, cfg.field.p, args.seed, 1, data), args)
+    return _emit(Decision(verdict, cfg.field.p, args.seed, trials, data), args)
 
 
 def _cmd_unexpected(args):

@@ -17,6 +17,8 @@ import numpy as np
 
 from .projgeom import _minors, flat_groups, points_of_rows
 
+EXHAUSTIVE_BOUND = 16   # largest set weak_comb_equivalent searches
+
 
 class NotA33Grid(ValueError):
     pass
@@ -289,12 +291,12 @@ def exact_covers(n_items, options):
     yield from search((1 << n_items) - 1)
 
 
-def weak_comb_equivalent(Z1, Z2, exhaustive_bound=16):
+def weak_comb_equivalent(Z1, Z2):
     """Staged test for a collinearity-preserving bijection.
 
     Returns ("Distinguished", invariant_name), ("Equivalent", bijection
     or None), or ("Unknown", None) when all invariants agree but the set
-    is too large for the exhaustive search.
+    has more than EXHAUSTIVE_BOUND points, too many to search.
     """
     pts1, pts2 = _points(Z1), _points(Z2)
     if len(pts1) != len(pts2):
@@ -312,7 +314,7 @@ def weak_comb_equivalent(Z1, Z2, exhaustive_bound=16):
         return ("Distinguished", "k33_probe")
     if _k13(s1) != _k13(s2):
         return ("Distinguished", "disjoint_k13_probe")
-    if len(pts1) <= exhaustive_bound:
+    if len(pts1) <= EXHAUSTIVE_BOUND:
         bij = _search_bijection(prof1, prof2, _collinear_triples(l1),
                                 _collinear_triples(l2))
         if bij is None:

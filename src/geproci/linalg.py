@@ -1,14 +1,16 @@
 """Dense exact linear algebra mod p on numpy int64 arrays.
 
 All entries live in [0, p) with p < 2**31. There is one elimination,
-the blocked LU of _eliminate: rank and det read their answers off it,
-and rref finishes it by back-substitution, which kernel_basis,
-inv_matrix and interpolate build on. Its per-column loop stays in int64:
-a product of two entries is below 2**62, and a single % p after each
-multiply keeps everything exact. Its trailing update multiplies through
-float64 BLAS instead: balanced residues (|x| < 2**30) times signed 16-bit
-limbs give terms below 2**45, so a sum of up to 2**8 of them (the panel
-width PANEL = 64 bounds it) stays below 2**53, where float64 is exact.
+the blocked LU of _eliminate with unit pivot rows, and one triangular
+solve: rank and det read their answers off the LU, and rref finishes it
+with the same solve, which kernel_basis, inv_matrix and interpolate
+build on. The per-column loop stays in int64: a product of two entries
+is below 2**62, and a single % p after each multiply keeps everything
+exact. Block products go through float64 BLAS: balanced residues
+(|x| < 2**30) times signed 16-bit limbs give terms below 2**45, so a
+sum of up to 2**8 of them stays below 2**53, where float64 is exact.
+The panel width PANEL = 64 bounds the trailing update's sums, and
+sub_mat_mul cuts longer ones into LIMB_CHUNK terms.
 mat_mul is the same exact product, on a zero target.
 Pivoting always takes the first nonzero entry in a column, which makes
 every result deterministic. rank takes a wide matrix on its short side:
@@ -45,14 +47,14 @@ def _eliminate(A, p):
     multiplier where it would have written a zero, and _update_trailing
     then applies the panel's row operations to the columns right of it.
     With cols <= PANEL this is the loop alone. Pivot choices equal the
-    unblocked loop's. Row i < len(pivot_cols) of A ends as the echelon
-    row U_i, normalised to 1 at pivot_cols[i]; left of that pivot, and
-    in the rows below the rank, A holds multipliers.
+    unblocked loop's. Each pivot row is scaled whole to a unit pivot, so
+    the panel's lower triangle has a unit diagonal. Row i < len(pivot_cols)
+    of A ends as the echelon row U_i, 1 at pivot_cols[i]; left of that
+    pivot, and in the rows below the rank, A holds multipliers.
     """
     rows, cols = A.shape
     r = 0
     pivots = []
-    invs = []
     det_unit = 1
     sign = 1
     for c0 in range(0, cols, PANEL):
@@ -72,25 +74,23 @@ def _eliminate(A, p):
                 sign = -sign
             piv = int(A[r, c])
             det_unit = det_unit * piv % p
-            inv = pow(piv, -1, p)
-            A[r, c:c1] = A[r, c:c1] * inv % p
+            A[r] = A[r] * pow(piv, -1, p) % p
             sel = nz[1:] + r
             if sel.size:
                 A[sel, c + 1:c1] = (A[sel, c + 1:c1]
                                     - A[sel, c:c + 1] * A[r, c + 1:c1]) % p
             pivots.append(c)
-            invs.append(inv)
             r += 1
         if c1 < cols and r > r0:
-            _update_trailing(A, p, r0, r, pivots[r0:], invs[r0:], c1)
+            _update_trailing(A, p, r0, r, pivots[r0:], c1)
     return pivots, det_unit, sign
 
 
-def _update_trailing(A, p, r0, r1, pcols, invs, c1):
+def _update_trailing(A, p, r0, r1, pcols, c1):
     """Apply a panel's row operations to the columns c1: of A, in place.
 
-    The panel left its pivot rows r0:r1 normalised only left of c1, and
-    the multiplier of row j for pivot i in A[j, pcols[i]]. A triangular
+    The panel left its pivot rows r0:r1 scaled to a unit pivot, and the
+    multiplier of row j for pivot i in A[j, pcols[i]]. A unit triangular
     solve first finishes the pivot rows (U12), which rref reads even
     when no row below needs an update. The rows below then take
     A22 <- A22 - L21 U12 in strips of STRIP rows, each strip one exact
@@ -99,7 +99,7 @@ def _update_trailing(A, p, r0, r1, pcols, invs, c1):
     them.
     """
     U = A[r0:r1, c1:]
-    _solve_pivot_rows(A, p, r0, pcols, invs, U)
+    _unit_lower_solve(A, p, r0, pcols, U)
     sel = r1 + np.flatnonzero(A[r1:, pcols].any(axis=1))
     if sel.size == 0:
         return
@@ -111,23 +111,20 @@ def _update_trailing(A, p, r0, r1, pcols, invs, c1):
         A[rows, c1:] = T
 
 
-def _solve_pivot_rows(A, p, r0, pcols, invs, U):
-    """U <- L11^-1 U in place: the panel loop's forward substitution on
-    the pivot rows r0:r0 + k, L11 their lower triangle on the columns
-    pcols (pivot values 1 / invs on the diagonal, multipliers below). By
-    recursive halving: the bottom half takes the solved top half in one
-    exact product, and only blocks of at most 8 rows run row by row."""
-    k = len(invs)
-    if k > 8:
+def _unit_lower_solve(A, p, r0, pcols, U):
+    """U <- L^-1 U in place, L the unit lower triangle that the rows
+    r0:r0 + k of A hold on the columns pcols, k = len(pcols). By recursive
+    halving: the bottom half takes the solved top half in one exact
+    product (sub_mat_mul, as rref's halves can pass 2**8 rows), and only
+    blocks of at most 16 rows run row by row."""
+    k = len(pcols)
+    if k > 16:
         h = k // 2
-        _solve_pivot_rows(A, p, r0, pcols[:h], invs[:h], U[:h])
-        hi, lo = _limbs(U[:h], p)
-        _sub_product(U[h:], A[r0 + h:r0 + k, pcols[:h]], hi, lo, p)
-        _solve_pivot_rows(A, p, r0 + h, pcols[h:], invs[h:], U[h:])
+        _unit_lower_solve(A, p, r0, pcols[:h], U[:h])
+        sub_mat_mul(U[h:], A[r0 + h:r0 + k, pcols[:h]], U[:h], p)
+        _unit_lower_solve(A, p, r0 + h, pcols[h:], U[h:])
         return
-    for j, inv in enumerate(invs):
-        U[j] *= inv
-        U[j] %= p
+    for j in range(k - 1):
         below = U[j + 1:]
         below -= A[r0 + j + 1:r0 + k, pcols[j], None] * U[j]
         below %= p
@@ -180,8 +177,9 @@ def rref(M, p):
 
     _eliminate leaves the echelon rows U = T R, T the unit upper
     triangular block of U on the pivot columns. With the rows below the
-    rank and the multipliers left of each pivot cleared, R = T^-1 U
-    takes one row operation per pivot, bottom up, on the rows above it.
+    rank and the multipliers left of each pivot cleared, the pivot rows
+    taken bottom-up hold T reversed, a unit lower triangle on the
+    reversed pivot columns, so the LU's own solve gives R = T^-1 U.
     A reduced echelon form is unique, so R is the one the Gauss-Jordan
     column loop gives.
     """
@@ -190,11 +188,12 @@ def rref(M, p):
     k = len(pivots)
     A[k:] = 0
     A[:k][np.arange(A.shape[1]) < np.array(pivots)[:, None]] = 0
-    for i in range(k - 1, 0, -1):
-        c = pivots[i]
-        above = A[:i, c:]
-        above -= A[:i, c, None] * A[i, c:]
-        above %= p
+    # L and U share storage here. That is safe: the solve copies each
+    # multiplier it reads before changing its row, and each row is zero
+    # on the pivot columns of the rows after it, so a solved block never
+    # changes a multiplier still to be read.
+    W = A[:k][::-1]
+    _unit_lower_solve(W, p, 0, pivots[::-1], W)
     return A, pivots
 
 
@@ -238,19 +237,14 @@ def det(M, p) -> int:
 
 
 def kernel_basis(M, p):
-    """Basis of the right null space, as a list of int64 vectors."""
+    """Basis of the right null space, as a list of int64 vectors: for each
+    free column f, e_f with -R[:, f] on the pivot columns."""
     A, pivots = rref(M, p)
-    cols = A.shape[1]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        v[pivots] = (-A[:len(pivots), f]) % p
-        basis.append(v)
-    return basis
+    free = np.delete(np.arange(A.shape[1]), pivots)
+    K = np.zeros((free.size, A.shape[1]), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, pivots] = -A[:len(pivots), free].T % p
+    return list(K)
 
 
 def inv_matrix(M, p):

@@ -319,9 +319,12 @@ def project_from(vertex: ProjPoint, points):
 def project_general(points, rng):
     """Images of the points under projection from a random vertex,
     resampling the vertex (up to 25 times) on collisions. Raises
-    ValueError for points of P^0, which has no vertex off the points."""
+    ValueError for points of P^0, which has no vertex off the points,
+    and for two or more points of P^1, which all map to P^0's one point."""
     if points[0].ambient_dim == 0:
         raise ValueError("points of P^0 have no projection")
+    if points[0].ambient_dim == 1 and len(set(points)) > 1:
+        raise ValueError("two points of P^1 meet under every projection")
     p = points[0].p
     for _ in range(25):
         P = random_point(points[0].ambient_dim + 1, p, rng)

@@ -22,6 +22,8 @@ from .configs import Configuration, FlatUnion
 from .ideals import ideal_dim, num_monomials
 from .projgeom import points_of_rows, project_general, random_point
 
+SKELETON_LINES = 5   # random lines behind verify_skeleton_T's order at Q
+
 
 @dataclass
 class UnexpReport:
@@ -192,14 +194,14 @@ def eval_skeleton_T(coeffs, coords, p):
     return v
 
 
-def verify_skeleton_T(n, p=None, seed=0, samples=5):
+def verify_skeleton_T(n, p=None, seed=0):
     """Numeric verification of the explicit skeleton hypersurface.
 
     With k = floor(n/2) and l = ceil(n/2): the degree-(k+1) form T built
     from a random general point Q must vanish on every (k-1)-flat spanned
     by k of the n+2 points (coordinate points plus the all-ones point),
     which is checked exactly on each flat's principal lattice of degree
-    k+1, and vanish to order at least l at Q along `samples` random
+    k+1, and vanish to order at least l at Q along SKELETON_LINES random
     lines. Returns a report dict.
     """
     from .field import choose_prime
@@ -220,7 +222,7 @@ def verify_skeleton_T(n, p=None, seed=0, samples=5):
     # vanishing order at Q along random lines
     order = None
     deg = k + 1
-    for _ in range(samples):
+    for _ in range(SKELETON_LINES):
         B = random_point(N + 1, p, rng).coords
         ys = [eval_skeleton_T(coeffs, [(q + x * d) % p for q, d in zip(a, B)],
                               p) for x in range(1, deg + 2)]

@@ -15,6 +15,8 @@ from .ideals import interp_matrix, num_monomials
 from .projgeom import MixedAmbient, ProjPoint, random_point
 
 IDENTICALLY_ZERO = "IdenticallyZero"
+RANK_TRIALS = 3      # random vertices behind generic_rank
+DEGREE_LINES = 3     # random lines behind weddle_degree
 
 
 class NotSquareSystem(ValueError):
@@ -40,12 +42,12 @@ def _require_square(points, d):
             f"got {len(points)}")
 
 
-def generic_rank(points, d, seed=0, trials=3):
-    """Rank of the system at a random vertex (max over a few samples)."""
+def generic_rank(points, d, seed=0):
+    """Rank of the system at a random vertex (max over RANK_TRIALS)."""
     p = points[0].p
     rng = random.Random(repr((seed, "weddle-rank")))
     best = 0
-    for _ in range(trials):
+    for _ in range(RANK_TRIALS):
         Q = random_point(_nvars(points), p, rng)
         best = max(best, linalg.rank(weddle_matrix(points, d, Q), p))
     return best
@@ -84,13 +86,13 @@ def _det_at(points, d, coords, p):
     return linalg.det(weddle_matrix(points, d, Q), p)
 
 
-def weddle_degree(points, d, seed=0, lines=3):
+def weddle_degree(points, d, seed=0):
     """Degree of the Weddle determinant, or IDENTICALLY_ZERO.
 
     Requires the square case. The determinant is homogeneous of degree at
     most B = (number of derivative rows) in the vertex coordinates; it is
-    restricted to random lines Q(s) = A + s*B and interpolated from B + 1
-    sample values. The maximum observed degree over the lines is returned.
+    restricted to DEGREE_LINES random lines Q(s) = A + s*B, interpolated
+    from B + 1 sample values, and the largest degree seen is returned.
     """
     _require_square(points, d)
     p = points[0].p
@@ -98,7 +100,7 @@ def weddle_degree(points, d, seed=0, lines=3):
     bound = num_monomials(nvars, d - 1)
     rng = random.Random(repr((seed, "weddle-degree")))
     best = None
-    for _ in range(lines):
+    for _ in range(DEGREE_LINES):
         A = random_point(nvars, p, rng).coords
         B = random_point(nvars, p, rng).coords
         ys = [_det_at(points, d,

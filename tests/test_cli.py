@@ -212,7 +212,7 @@ def test_weddle_member_computes_generic_rank_once(tmp_path, capsys,
     assert len(calls) == 1
     doc = json.loads(out)
     assert doc["data"]["members"] == expect
-    assert doc["trials"] == 1
+    assert doc["trials"] == weddle.RANK_TRIALS == 3
     assert code == (0 if all(expect) else 1)
 
 
@@ -346,9 +346,9 @@ def test_equiv_verdicts(tmp_path, d4_file, capsys):
     (["census", "planes", "{d4}"], 0, 0),
     (["check", "geproci", "-a", "3", "-b", "4", "--seed", "5", "{d4}"], 5, 3),
     (["check", "ci222", "--seed", "5", "-t", "4", "{d4}"], 5, 4),
-    (["weddle", "degree", "-d", "2", "--seed", "5", "{g23}"], 5, 1),
+    (["weddle", "degree", "-d", "2", "--seed", "5", "{g23}"], 5, 3),
     (["weddle", "member", "-d", "2", "--seed", "5", "--probe", "{d4}",
-      "{d4}"], 5, 1),
+      "{d4}"], 5, 3),
     (["unexpected", "c", "-t", "3", "--seed", "5", "{d4}"], 5, 2),
     (["unexpected", "vdim", "-t", "3", "-m", "3", "--seed", "5", "{d4}"],
      5, 2),
@@ -418,10 +418,15 @@ def _write_json(tmp_path, name, doc):
      "'ambient_dim'"),
     (["unexpected", "c", "-t", "3"], {"ambient_dim": 0, "points": [["1"]]},
      "P^0"),
+    (["unexpected", "c", "-t", "3"],
+     {"ambient_dim": 1, "points": [["1", "0"], ["0", "1"]]}, "P^1"),
+    (["unexpected", "adim", "-t", "3", "-m", "3"],
+     {"ambient_dim": 1, "points": [["1", "0"], ["0", "1"]]}, "P^1"),
     (["census", "lines"],
      {"ambient_dim": 2, "points": [["(" * 3000 + "1" + ")" * 3000, "0", "1"]]},
      "nested too deeply"),
-], ids=["negative-ambient-dim", "point-of-P0", "deep-parentheses"])
+], ids=["negative-ambient-dim", "point-of-P0", "two-points-of-P1-c",
+        "two-points-of-P1-adim", "deep-parentheses"])
 def test_input_at_fault_is_named(tmp_path, capsys, argv, doc, culprit):
     code = main(argv + [_write_json(tmp_path, "bad.json", doc)])
     out, err = capsys.readouterr()
@@ -430,6 +435,19 @@ def test_input_at_fault_is_named(tmp_path, capsys, argv, doc, culprit):
     assert err.startswith("error: ") and culprit in err
     for fault in ("RecursionError", "CollisionDetected", "Traceback"):
         assert fault not in err
+
+
+@pytest.mark.parametrize("argv, code, data", [
+    (["unexpected", "c", "-t", "3"], 1,
+     {"t": 3, "adim": 0, "vdim": 0, "unexpected": False}),
+    (["unexpected", "adim", "-t", "3", "-m", "3"], 0, {"adim": 0}),
+], ids=["c", "adim"])
+def test_one_point_of_P1_gets_its_verdict(tmp_path, capsys, argv, code, data):
+    path = _write_json(tmp_path, "p1.json",
+                       {"ambient_dim": 1, "points": [["1", "0"]]})
+    got, out = run(capsys, "--json", *argv, path)
+    assert got == code
+    assert json.loads(out)["data"] == data
 
 
 def test_long_flat_sum_loads(tmp_path, capsys):

@@ -133,6 +133,22 @@ def test_rank_bounded_by_shape(seed):
 P31 = 2**31 - 1   # largest prime the library accepts
 
 
+@pytest.mark.parametrize("p", [P, P31])
+def test_inv_matrix_round_trip_across_panels(p):
+    # rref([A | I]) of a 150 x 150 matrix has 150 pivots in three panels,
+    # so the bottom-up solve crosses panel boundaries and recurses
+    A = np.random.default_rng(p % 1000).integers(0, p, (150, 150))
+    assert rank(A, p) == 150
+    Ainv = inv_matrix(A, p)
+    eye = np.eye(150, dtype=np.int64)
+    assert np.array_equal(mat_mul(A, Ainv, p), eye)
+    assert np.array_equal(mat_mul(Ainv, A, p), eye)
+    A[149] = (A[3] + 5 * A[70]) % p
+    assert rank(A, p) == 149
+    with pytest.raises(ValueError, match="singular"):
+        inv_matrix(A, p)
+
+
 @st.composite
 def _blocked_cases(draw):
     """(p, M): matrices with more than PANEL columns, wide or tall, so the

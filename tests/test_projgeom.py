@@ -197,6 +197,14 @@ def test_project_general_refuses_points_of_P0():
         projgeom.project_general([pt(1)], random.Random(0))
 
 
+def test_project_general_refuses_two_points_of_P1():
+    # every projection of P^1 lands in P^0, where two points collide
+    with pytest.raises(ValueError, match=r"P\^1"):
+        projgeom.project_general([pt(1, 0), pt(0, 1)], random.Random(0))
+    image, = projgeom.project_general([pt(1, 0)], random.Random(0))
+    assert image.ambient_dim == 0
+
+
 @pytest.mark.parametrize("vertex", [(0, 2, 3, 5), (7, 0, 1, 0, 9),
                                     (3, 1, 4, 1, 5, 9)])
 def test_project_from_is_fixed_by_the_vertex(vertex):
