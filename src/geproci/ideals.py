@@ -174,41 +174,48 @@ def _degree_walk(points, p):
     One basis serves every degree (the degree walk of Buchberger-Moeller).
     Each point is rescaled so that a fixed linear form l = sum_j c^j x_j
     is 1 on it, for the first c that makes l nonzero at every point (each
-    point rules out at most nvars - 1 values of c). Rescaling row i of
+    point of P^k rules out at most k values of c). Rescaling row i of
     every M_t by a nonzero lambda_i^t changes no rank, with or without
     row i. Once l is 1 on the points, f -> l f shows V_t inside V_{t+1}.
     The coefficient of l on x_0 is 1, so x_0 is also replaced by l, a
     change of coordinates that changes no rank: then a monomial x_0 m of
     degree t+1 takes the values of m, which lie in V_t, and only the
     monomials free of x_0 leave a nonzero residual, whatever zeros the
-    given coordinates have. So a reduced basis of V_t, with its pivots,
-    grows into one of V_{t+1}: the degree-(t+1) evaluation vectors are
-    reduced against it by one exact product, only the residual is
-    eliminated, its new pivot columns are cleared from the basis, and its
-    rows join it. The basis is the identity on its pivot columns, so B
-    keeps only the other columns, and e_i is in V_t exactly when i is a
-    pivot whose row is zero in B. Degrees run until V_t is all of F_p^n,
-    when every deletion saturates too, or, for repeated points, up to
-    degree n + 1, the last that _h_vectors reads.
+    given coordinates have. So only these affine monomials are evaluated,
+    in the rescaled x_1..x_k and the order of monomials(k, t): those of
+    degree t+1 whose first variable is x_j are x_j times the suffix of
+    the degree-t ones free of x_1..x_{j-1} (none past degree 0 if k = 0).
+    A reduced basis of V_t, with its pivots, grows into one of V_{t+1}:
+    the degree-(t+1) evaluation vectors are reduced against it by one
+    exact product, the nonzero residual rows are eliminated, their new
+    pivot columns are cleared from the basis, and their rows join it. The
+    basis is the identity on its pivot columns, so B keeps only the other
+    columns, and e_i is in V_t exactly when i is a pivot whose row is zero
+    in B. Degrees run until V_t is all of F_p^n, when every deletion
+    saturates too, or, for repeated points, up to degree n + 1, the last
+    that _h_vectors reads.
     """
     n = len(points)
-    nvars = points[0].ambient_dim + 1
-    coords = [q.coords for q in points]
-    for c in range(n * (nvars - 1) + 1):
-        ell = form_values([pow(c, j, p) for j in range(nvars)],
-                          monomials(nvars, 1), coords, p)
+    C = np.array([q.coords for q in points], dtype=np.int64) % p
+    k = C.shape[1] - 1
+    for c in range(n * k + 1):
+        ell = (C * [pow(c, j, p) for j in range(k + 1)] % p).sum(axis=1) % p
         if ell.all():
             break
     else:
         raise ValueError(f"no linear form sum c^j x_j is nonzero at all "
                          f"{n} points over F_{p}")
-    coords = [[1] + [x * w % p for x in P[1:]]
-              for P, w in zip(coords, (pow(v, -1, p) for v in ell.tolist()))]
+    A = C[:, 1:] * np.array([[pow(v, -1, p)] for v in ell.tolist()]) % p
     piv, free = np.zeros(0, dtype=np.intp), np.arange(n)
     B = np.zeros((0, n), dtype=np.int64)
     ranks, in_V = [], []
+    X = np.ones((n, 1), dtype=np.int64)
     while not ranks or (ranks[-1] < n and len(ranks) <= n + 1):
-        X = _power_rows(coords, monomials(nvars, len(ranks)), p)
+        if ranks:
+            N = X.shape[1]
+            X = np.concatenate([X[:, :0]] + [
+                X[:, N - num_monomials(k - j, len(ranks) - 1):]
+                * A[:, j, None] % p for j in range(k)], axis=1)
         Y = X[free].T.copy()
         linalg.sub_mat_mul(Y, X[piv].T, B, p)
         R, new = linalg.rref(Y[Y.any(axis=1)], p)
@@ -269,12 +276,6 @@ def macaulay_matrix(points, d: int, Q_coords, p):
 def multiplicity_weight(M_exp) -> int:
     """Product of factorials of the exponents of a monomial."""
     return math.prod(math.factorial(e) for e in M_exp)
-
-
-def form_values(coeffs, exps, coords, p):
-    """Values mod p of the form at each coordinate tuple in coords."""
-    c = np.asarray(coeffs, dtype=np.int64) % p
-    return (_power_rows(coords, exps, p) * c % p).sum(axis=1) % p
 
 
 @lru_cache(maxsize=None)

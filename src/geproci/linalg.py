@@ -240,6 +240,8 @@ def kernel_basis(M, p):
     """Basis of the right null space, as a list of int64 vectors: for each
     free column f, e_f with -R[:, f] on the pivot columns."""
     A, pivots = rref(M, p)
+    if len(pivots) == A.shape[1]:
+        return []
     free = np.delete(np.arange(A.shape[1]), pivots)
     K = np.zeros((free.size, A.shape[1]), dtype=np.int64)
     K[np.arange(free.size), free] = 1

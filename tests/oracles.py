@@ -13,8 +13,8 @@ import numpy as np
 
 from geproci import linalg
 from geproci.configs import ParseError, UnresolvableSymbol
-from geproci.ideals import (ZeroForm, form_values, ideal_dim, interp_matrix,
-                            monomials, simple_scheme)
+from geproci.ideals import (ZeroForm, ideal_dim, interp_matrix, monomials,
+                            simple_scheme)
 from geproci.linalg import kernel_basis
 from geproci.projgeom import (ProjPoint, flat_through, project_general,
                               random_point)
@@ -118,6 +118,13 @@ def eval_monomial(coords, exp, p):
     for c, e in zip(coords, exp):
         v = v * pow(int(c) % p, e, p) % p
     return v
+
+
+def form_values(coeffs, exps, coords, p):
+    """Values mod p of the form at each coordinate tuple in coords."""
+    return np.array([sum(int(c) * eval_monomial(P, e, p)
+                         for c, e in zip(coeffs, exps)) % p
+                     for P in coords], dtype=np.int64)
 
 
 def collinear(a, b, c, p):

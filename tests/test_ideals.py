@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from geproci import configs, linalg
+from geproci import configs, ideals, linalg
 from geproci.field import make_field
 from geproci.ideals import (
     CharTooSmall,
@@ -348,9 +348,12 @@ def test_deletion_h_vectors_match_brute_force():
         [rand_pt(rng, 3) for _ in range(4)])
     assert full == (1, 2, 1)
     assert set(dropped) == {(1, 2)}
+    # two equal points of P^0: no monomial free of x0 past degree 0
+    assert _assert_deletions_match_brute_force([pt(1), pt(3)]) == (
+        (1, 0, 0, 0), [(1,), (1,)])
 
 
-@given(st.integers(min_value=2, max_value=5),
+@given(st.integers(min_value=0, max_value=5),
        st.lists(st.lists(st.integers(min_value=-2, max_value=2),
                          min_size=6, max_size=6),
                 min_size=1, max_size=7))
@@ -426,6 +429,22 @@ def test_deletion_h_vectors_run_no_kernel_and_one_pivot_per_point(
     full, dropped = deletion_h_vectors(images, pts[0].p)
     # the eliminations' pivots are the 60 rows of the final basis
     assert sum(full) == len(images) == len(pivots) == 60
+
+
+def test_degree_walk_builds_no_power_table_or_evaluation_matrix(
+        monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the degree walk built a full evaluation table")
+
+    klein = configs.named("klein").points
+    images = project_general(klein, random.Random(repr((1, "geprocb"))))
+    e8 = configs.named("e8").points
+    monkeypatch.setattr(ideals, "_power_rows", forbidden)
+    monkeypatch.setattr(ideals, "interp_matrix", forbidden)
+    assert deletion_h_vectors(images, klein[0].p)[0] == (
+        tuple(range(1, 7)) + (6,) * 4 + tuple(range(5, 0, -1)))
+    assert deletion_h_vectors(e8, e8[0].p) == (
+        (1, 7, 28, 84), [(1, 7, 28, 83)] * 120)
 
 
 @pytest.mark.parametrize("label,pts", [
