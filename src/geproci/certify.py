@@ -157,26 +157,23 @@ def _rulings(points, lines, size, exclude=()):
         yield [usable[o] for o in cover]
 
 
-def _rulings_meet(side_a, side_b):
-    """Every line of one ruling must meet every line of the other (the
-    signature of two rulings of one quadric)."""
-    return all(sa & sb or span_dim(list(sa) + list(sb)) <= 2
-               for sa in side_a for sb in side_b)
-
-
 def detect_grid(points, seed=0, trials=2):
     """Classify a point set as ("Grid", (a, b), rulings),
     ("HalfGrid", (a, b), lines) or ("Neither", None, None).
 
-    A grid needs, for some factorization ab = |Z|, a ruling of a disjoint
-    b-point lines and a transversal ruling of b disjoint a-point lines
-    with full incidence. A half grid has exactly one ruling, every line
-    of it carrying at least 3 points (2-point lines always admit trivial
-    matchings), and the line pattern must match the degrees of an actual
-    complete-intersection projection: a cover by k lines of s points only
-    witnesses a half grid when the set is (min, max)(s, k)-geproci, since
-    the union of the k lines has to be one of the two intersection
-    curves.
+    A grid is, for some factorization ab = |Z|, a ruling of a disjoint
+    b-point lines and a ruling of b disjoint a-point lines, none of them
+    in both. Counting proves they meet: each point lies on one line of
+    each ruling, and two points on the same two lines would make those
+    lines one census run, so the ab points give ab distinct pairs of
+    lines, which is every pair. For a < b the a-point ruling does not
+    depend on the b-point one and is searched once. A half grid has
+    exactly one ruling, every line of it carrying at least 3 points
+    (2-point lines always admit trivial matchings), and the line pattern
+    must match the degrees of an actual complete-intersection
+    projection: a cover by k lines of s points only witnesses a half
+    grid when the set is (min, max)(s, k)-geproci, since the union of
+    the k lines has to be one of the two intersection curves.
     """
     n = len(points)
     p = points[0].p
@@ -206,13 +203,13 @@ def detect_grid(points, seed=0, trials=2):
         # the side with few long lines is always cheap to search
         first_side_a = None
         if b in sizes:
-            for side_a in itertools.islice(_rulings(points, lines, b), 50):
-                if first_side_a is None:
-                    first_side_a = side_a
-                for side_b in itertools.islice(
-                        _rulings(points, lines, a, exclude=side_a), 50):
-                    if _rulings_meet(side_a, side_b):
-                        return ("Grid", (a, b), (side_a, side_b))
+            for side_a in itertools.islice(_rulings(points, lines, b),
+                                           50 if a == b else 1):
+                first_side_a = first_side_a or side_a
+                side_b = next(_rulings(points, lines, a, exclude=side_a),
+                              None)
+                if side_b is not None:
+                    return ("Grid", (a, b), (side_a, side_b))
         if half is not None:
             continue
         if first_side_a is not None:

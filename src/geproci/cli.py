@@ -83,7 +83,7 @@ def _cmd_weddle(args):
         if not args.probe:
             print("weddle member needs --probe FILE", file=sys.stderr)
             return 3
-        probe = configs.load(args.probe)
+        probe = configs.load(args.probe, cfg.field.p)
         flags = weddle.members(cfg.points, args.d, probe.points,
                                seed=args.seed)
         data, trials = {"members": flags}, weddle.RANK_TRIALS
@@ -287,7 +287,7 @@ def build_parser():
     g = chk_sub.add_parser("geproci")
     g.add_argument("-a", type=int, required=True)
     g.add_argument("-b", type=int, required=True)
-    g.add_argument("-t", "--trials", type=int, default=3)
+    g.add_argument("-t", "--trials", type=_int_at_least(1), default=3)
     g.add_argument("--seed", type=int, default=0)
     # the least prime to consider, in the range field.choose_prime searches
     g.add_argument("--prime", type=_int_at_least(100, PRIME_LIMIT),
@@ -295,7 +295,7 @@ def build_parser():
     g.add_argument("file")
     g.set_defaults(fn=_cmd_check_geproci)
     ci = chk_sub.add_parser("ci222")
-    ci.add_argument("-t", "--trials", type=int, default=3)
+    ci.add_argument("-t", "--trials", type=_int_at_least(1), default=3)
     ci.add_argument("--seed", type=int, default=0)
     ci.add_argument("file")
     ci.set_defaults(fn=_cmd_check_ci222)
@@ -307,7 +307,7 @@ def build_parser():
 
     w = sub.add_parser("weddle", help="determinantal locus checks")
     w.add_argument("what", choices=["member", "degree"])
-    w.add_argument("-d", type=int, required=True)
+    w.add_argument("-d", type=_int_at_least(1), required=True)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--probe", default=None)
     w.add_argument("file")
@@ -333,7 +333,7 @@ def build_parser():
     cb.set_defaults(fn=_cmd_cbp)
 
     r = sub.add_parser("remember", help="cone memory of a subset")
-    r.add_argument("-m", type=int, required=True)
+    r.add_argument("-m", type=_int_at_least(1), required=True)
     r.add_argument("--subset", required=True,
                    help="JSON file with a list of point indices")
     r.add_argument("--seed", type=int, default=0)

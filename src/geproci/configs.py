@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import numpy as np
+
 from .field import (DEFAULT_MIN_BOUND, FieldSpec, make_field,
                     minpoly_constraint, order_constraint)
 from .projgeom import Flat, ProjPoint, flat_through
@@ -412,10 +414,11 @@ def extend_standard(cfg: Configuration):
 
 
 def remove_lines(cfg: Configuration, lines):
-    """Drops every configuration point lying on one of the given lines."""
-    keep = [i for i, q in enumerate(cfg.points)
-            if not any(l.contains(q) for l in lines)]
-    out = cfg.subset(keep, label=cfg.label + "-res")
+    """Drops every configuration point on one of the given lines, each a
+    run of point indices as in line_census(cfg).runs."""
+    drop = set(itertools.chain.from_iterable(lines))
+    out = cfg.subset([i for i in range(len(cfg)) if i not in drop],
+                     label=cfg.label + "-res")
     out.tags["removed_lines"] = len(lines)
     return out
 
@@ -441,13 +444,20 @@ def _int_config(label, n, rows, min_bound=DEFAULT_MIN_BOUND,
     return _from_exprs(label, n, fs, rows, tags=tags)
 
 
-def _e8_rows():
+def _pair_rows(width, among):
+    """Text rows of e_i + e_j and e_i - e_j in width coordinates, for
+    i < j < among in combinations order."""
     rows = []
-    for i, j in itertools.combinations(range(8), 2):
-        for s in (1, -1):
-            v = [0] * 8
-            v[i], v[j] = 1, s
-            rows.append([str(x) for x in v])
+    for i, j in itertools.combinations(range(among), 2):
+        for s in ("1", "-1"):
+            v = ["0"] * width
+            v[i], v[j] = "1", s
+            rows.append(v)
+    return rows
+
+
+def _e8_rows():
+    rows = _pair_rows(8, 8)
     for signs in itertools.product((1, -1), repeat=7):
         if sum(1 for s in signs if s < 0) % 2 == 0:
             rows.append(["1"] + [str(s) for s in signs])
@@ -455,34 +465,17 @@ def _e8_rows():
 
 
 def _e7_rows():
-    out = []
-    for i, j in itertools.combinations(range(6), 2):
-        for s in (1, -1):
-            v = [0] * 7
-            v[i], v[j] = 1, s
-            out.append([str(x) for x in v])
-    v = [0] * 7
-    v[6] = 1
-    out.append([str(x) for x in v])
+    rows = _pair_rows(7, 6) + [["0"] * 6 + ["1"]]
     for last in (1, -1):
         for signs in itertools.product((1, -1), repeat=5):
             if sum(1 for s in signs if s < 0) % 2 == 1:
-                out.append(["1"] + [str(s) for s in signs] + [str(last)])
-    return out
+                rows.append(["1"] + [str(s) for s in signs] + [str(last)])
+    return rows
 
 
 def _b_family_rows(k):
-    rows = []
-    for i in range(k):
-        v = [0] * k
-        v[i] = 1
-        rows.append([str(x) for x in v])
-    for i, j in itertools.combinations(range(k), 2):
-        for s in (1, -1):
-            v = [0] * k
-            v[i], v[j] = 1, s
-            rows.append([str(x) for x in v])
-    return rows
+    units = [["1" if j == i else "0" for j in range(k)] for i in range(k)]
+    return units + _pair_rows(k, k)
 
 
 _GOLDEN = ("phi", minpoly_constraint([-1, -1, 1]))
@@ -495,37 +488,11 @@ _SQRT2 = ("v", minpoly_constraint([-2, 0, 1]))
 _ZPHI = {"0": (0, 0), "1": (1, 0), "*": (-1, 0), "p": (0, 1),
          "P": (0, -1), "q": (-1, 1), "Q": (1, -1)}
 
-
-def _phi_matrix(rows):
-    return [[_ZPHI[ch] for ch in row] for row in rows]
-
-
 # integer-scaled generator matrices of the icosian family
-_U = _phi_matrix(["111*", "11*1", "1*11", "1***"])
-_V = _phi_matrix(["p0*q", "0pQ*", "1qp0", "Q10p"])
-_W = _phi_matrix(["qP01", "pq10", "0*qP", "*0pq"])
-_T = _phi_matrix(["1*00", "**00", "00**", "00*1"])
-
-
-def _phi_mat_mul(A, B):
-    """Exact product over Z[phi], with phi^2 = phi + 1."""
-    out = []
-    for row in A:
-        out.append([])
-        for col in zip(*B):
-            s0 = s1 = 0
-            for (a, b), (c, d) in zip(row, col):
-                s0 += a * c + b * d
-                s1 += a * d + b * c + b * d
-            out[-1].append((s0, s1))
-    return out
-
-
-def _powers(M, count):
-    out = [_phi_matrix(["1000", "0100", "0010", "0001"])]
-    while len(out) < count:
-        out.append(_phi_mat_mul(M, out[-1]))
-    return out
+_U = ["111*", "11*1", "1*11", "1***"]
+_V = ["p0*q", "0pQ*", "1qp0", "Q10p"]
+_W = ["qP01", "pq10", "0*qP", "*0pq"]
+_T = ["1*00", "**00", "00**", "00*1"]
 
 
 def _phi_text(a, b):
@@ -535,12 +502,25 @@ def _phi_text(a, b):
 
 
 def _product_columns(label, fs, *factors):
-    """The columns of every product F1 F2 ... Fk, one factor from each list
-    of matrices, the first list outermost, as points with Z[phi] texts."""
-    mats = factors[-1]
-    for powers in reversed(factors[:-1]):
-        mats = [_phi_mat_mul(P, M) for P in powers for M in mats]
-    rows = [[_phi_text(*x) for x in col] for M in mats for col in zip(*M)]
+    """The columns of every product F1^e1 F2^e2 ... Fk^ek, for factors
+    given as (pattern, count) with e_i < count_i, the first exponent
+    slowest, as points with Z[phi] texts.
+
+    a + b*phi acts on Z + Z*phi as the integer block [[a, b], [b, a + b]]
+    (phi^2 = phi + 1), so a pattern is an 8x8 integer matrix whose
+    column 2j holds the pairs (a, b) of its column j, and products over
+    Z[phi] are integer products."""
+    powers = []
+    for pattern, count in factors:
+        ab = np.array([[_ZPHI[ch] for ch in row] for row in pattern])
+        M = np.kron(ab[..., 0], np.eye(2, dtype=np.int64)) + np.kron(
+            ab[..., 1], np.array([[0, 1], [1, 1]]))
+        powers.append([np.linalg.matrix_power(M, e) for e in range(count)])
+    rows = []
+    for mats in itertools.product(*powers):
+        cols = functools.reduce(operator.matmul, mats).T[::2].tolist()
+        rows += [[_phi_text(*x) for x in zip(c[::2], c[1::2])]
+                 for c in cols]
     return _from_exprs(label, 3, fs, rows)
 
 
@@ -548,16 +528,14 @@ def rays300(min_bound=DEFAULT_MIN_BOUND):
     """300 rays: the columns of W^n V^m U^l, n, m < 5 and l < 3, for the
     icosian generators."""
     fs = make_field([_GOLDEN], min_bound)
-    return _product_columns("rays300", fs, _powers(_W, 5),
-                            _powers(_V, 5), _powers(_U, 3))
+    return _product_columns("rays300", fs, (_W, 5), (_V, 5), (_U, 3))
 
 
 def points120(min_bound=DEFAULT_MIN_BOUND):
     """The 120-point configuration: the columns of V^k T^i U^j, k < 5,
     i < 2 and j < 3, from the extended generator family."""
     fs = make_field([_GOLDEN, _SQRT2], min_bound)
-    return _product_columns("points120", fs, _powers(_V, 5),
-                            _powers(_T, 2), _powers(_U, 3))
+    return _product_columns("points120", fs, (_V, 5), (_T, 2), (_U, 3))
 
 
 def klein(min_bound=DEFAULT_MIN_BOUND):

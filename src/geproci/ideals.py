@@ -256,20 +256,15 @@ def macaulay_matrix(points, d: int, Q_coords, p):
         raise CharTooSmall(f"need p > {d}")
     nvars = len(Q_coords)
     Ms = monomials(nvars, d)
-    ms = monomials(nvars, d - 1)
-    m_index = {m: j for j, m in enumerate(ms)}
+    # idx[k, j]: the row of x_k times the j-th degree-(d-1) monomial m
+    idx = _multiple_index(nvars, d - 1, 1)
     r = len(points)
-    A = np.zeros((len(Ms), r + len(ms)), dtype=np.int64)
+    A = np.zeros((len(Ms), r + idx.shape[1]), dtype=np.int64)
     c = np.array([math.factorial(d) // multiplicity_weight(M) % p
                   for M in Ms], dtype=np.int64)
     A[:, :r] = (_power_rows([pt.coords for pt in points], Ms, p).T
                 * c[:, None] % p)
-    for i, M in enumerate(Ms):
-        for k in range(nvars):
-            if M[k] == 0:
-                continue
-            m = tuple(e - (1 if idx == k else 0) for idx, e in enumerate(M))
-            A[i, r + m_index[m]] = int(Q_coords[k]) % p
+    A[idx, r + np.arange(idx.shape[1])] = [[int(q) % p] for q in Q_coords]
     return A
 
 

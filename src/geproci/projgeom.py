@@ -98,10 +98,6 @@ class Flat:
     def dim(self):
         return len(self.basis) - 1
 
-    def contains(self, pt: ProjPoint) -> bool:
-        M = list(self.basis) + [pt.coords]
-        return linalg.rank(linalg.as_matrix(M, self.p), self.p) == len(self.basis)
-
 
 def points_of_rows(Y, p):
     """Points of the rows of Y, none of them zero, normalised as

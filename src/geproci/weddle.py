@@ -56,12 +56,16 @@ def generic_rank(points, d, seed=0):
 def members(points, d, probes, seed=0):
     """For each probe vertex Q, whether it lies on the degree-d Weddle
     locus of the points: True exactly when the system at Q has lower
-    rank than at a generic vertex. The generic rank is computed once."""
+    rank than at a generic vertex. The generic rank is computed once.
+    A probe over another prime than the points' is a ValueError."""
     p = points[0].p
-    for Q in probes:
+    for i, Q in enumerate(probes):
         if Q.ambient_dim != points[0].ambient_dim:
             raise MixedAmbient(f"probe {Q} lies in P^{Q.ambient_dim}, the "
                                f"points in P^{points[0].ambient_dim}")
+        if Q.p != p:
+            raise ValueError(f"probe {i} is read over F_{Q.p}, the points "
+                             f"over F_{p}")
     rho = generic_rank(points, d, seed=seed)
     return [linalg.rank(weddle_matrix(points, d, Q), p) < rho
             for Q in probes]

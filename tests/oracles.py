@@ -475,6 +475,28 @@ def fat_rows_by_entries(coords, mult, exps, p):
     return np.array(rows, dtype=np.int64)
 
 
+def macaulay_matrix_by_loop(points, d, Q_coords, p):
+    """The dual presentation matrix of ideals.macaulay_matrix, entry by
+    entry: rows over the degree-d monomials M, a column per point with
+    entry d!/prod(M_j!) M(P), then a column per degree-(d-1) monomial m
+    with entry the Q-coordinate of M/m when m divides M."""
+    nvars = len(Q_coords)
+    Ms = monomials(nvars, d)
+    ms = monomials(nvars, d - 1)
+    m_index = {m: j for j, m in enumerate(ms)}
+    A = np.zeros((len(Ms), len(points) + len(ms)), dtype=np.int64)
+    for i, M in enumerate(Ms):
+        c = math.factorial(d) // math.prod(map(math.factorial, M)) % p
+        for j, q in enumerate(points):
+            A[i, j] = c * eval_monomial(q.coords, M, p) % p
+        for k in range(nvars):
+            if M[k] == 0:
+                continue
+            m = tuple(e - (1 if idx == k else 0) for idx, e in enumerate(M))
+            A[i, len(points) + m_index[m]] = int(Q_coords[k]) % p
+    return A
+
+
 def fat_conditions_by_lines(coords, mult, t, p, rng):
     """Linear conditions on the coefficients of a degree-t form F for
     vanishing to order mult at the point, read off lines through it: for

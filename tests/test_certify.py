@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -17,7 +18,7 @@ from geproci.certify import (
     is_geproci,
     remembers,
 )
-from geproci.configs import named, unity_grid
+from geproci.configs import klein_grid66, named, unity_grid
 from geproci.field import make_field
 from geproci.projgeom import ProjPoint, segre
 
@@ -116,6 +117,49 @@ def test_detect_grid_half_grid():
     assert ab == (3, 4)
     covered = set().union(*lines)
     assert covered == set(cfg.points)
+
+
+@functools.cache
+def _klein_and_ruling():
+    pts = named("klein").points
+    return pts, detect_grid(pts, seed=1)[2]
+
+
+def _klein_minus_first_lines(k):
+    """Klein's points off the first k lines of its seed-1 ruling."""
+    pts, ruling = _klein_and_ruling()
+    drop = set().union(*ruling[:k])
+    return [q for q in pts if q not in drop]
+
+
+@pytest.mark.parametrize("k,kind,ab", [
+    (1, "HalfGrid", (6, 9)), (2, "HalfGrid", (6, 8)),
+    (3, "HalfGrid", (6, 7)), (4, "HalfGrid", (6, 6)),
+    (5, "HalfGrid", (5, 6)), (6, "HalfGrid", (4, 6)),
+    (7, "Grid", (3, 6)), (8, "Grid", (2, 6))])
+def test_detect_grid_klein_minus_ruling_lines(k, kind, ab):
+    assert detect_grid(_klein_minus_first_lines(k), seed=1)[:2] == (kind, ab)
+
+
+@pytest.mark.parametrize("case", [
+    *[f"unity{a}x{b}" for a in range(2, 6) for b in range(a, 6)],
+    "klein_grid66", "klein-7", "klein-8"])
+def test_detect_grid_rulings_partition_and_meet_once(case):
+    # counting, not a rank per pair of lines, proves that the two rulings
+    # meet; check it on the grids detect_grid returns
+    if case.startswith("unity"):
+        pts = unity_grid(*map(int, case[5:].split("x"))).points
+    elif case == "klein_grid66":
+        pts = klein_grid66().points
+    else:
+        pts = _klein_minus_first_lines(int(case[-1]))
+    for seed in (0, 1):
+        kind, (a, b), (side_a, side_b) = detect_grid(pts, seed=seed)
+        assert kind == "Grid" and a * b == len(pts)
+        for side, count, size in ((side_a, a, b), (side_b, b, a)):
+            assert len(side) == count and all(len(l) == size for l in side)
+            assert set().union(*side) == set(pts)
+        assert all(len(la & lb) == 1 for la in side_a for lb in side_b)
 
 
 def test_detect_grid_neither():

@@ -190,6 +190,34 @@ def test_weddle_member_rejects_probe_in_other_space(tmp_path, d4_file,
     assert "P^3" in err and "P^2" in err
 
 
+@pytest.mark.parametrize("symbols", [[], [{"name": "u", "order": 3}],
+                                     [{"name": "u", "order": 4}]])
+def test_weddle_member_reads_probe_at_the_config_prime(tmp_path, capsys,
+                                                       symbols):
+    from geproci.configs import load
+    # the probe [2:2:3:4] lies on the line through e0 and [1:2:3:4]
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "points": [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+        [1, 2, 3, 4]]}))
+    probe_path = tmp_path / "probe.json"
+    probe_path.write_text(json.dumps({"ambient_dim": 3, "symbols": symbols,
+                                      "points": [[2, 2, 3, 4]]}))
+    p = load(path).field.p
+    q = load(probe_path, p).field.p
+    code = main(["--json", "weddle", "member", "-d", "2",
+                 "--probe", str(probe_path), str(path)])
+    out, err = capsys.readouterr()
+    # the points' prime is 1 mod 3 but not 1 mod 4
+    assert (q != p) == (symbols[-1:] == [{"name": "u", "order": 4}])
+    if q == p:
+        assert code == 0
+        assert json.loads(out)["data"]["members"] == [True]
+    else:
+        assert code == 3 and out == ""
+        assert str(p) in err and str(q) in err
+
+
 def test_weddle_member_computes_generic_rank_once(tmp_path, capsys,
                                                   monkeypatch):
     from geproci import weddle
@@ -266,6 +294,27 @@ def test_unexpected_rejects_bad_t_and_m(four_points_file, capsys, what,
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert f"argument {named}: must be at least" in captured.err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["check", "geproci", "-a", "3", "-b", "4", "-t", "-1", "{d4}"], "-t"),
+    (["check", "geproci", "-a", "3", "-b", "4", "-t", "0", "{d4}"], "-t"),
+    (["check", "ci222", "-t", "-2", "{d4}"], "-t"),
+    (["weddle", "member", "-d", "-1", "--probe", "{d4}", "{d4}"], "-d"),
+    (["weddle", "degree", "-d", "0", "{d4}"], "-d"),
+    (["remember", "-m", "-1", "--subset", "{full}", "{d4}"], "-m"),
+    (["remember", "-m", "0", "--subset", "{full}", "{d4}"], "-m")],
+    ids=["geproci-t-1", "geproci-t0", "ci222-t-2", "member-d-1",
+         "degree-d0", "remember-m-1", "remember-m0"])
+def test_integer_flags_below_one_are_usage_errors(d4_file, tmp_path, capsys,
+                                                  argv, named):
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(list(range(12))))
+    code = main([a.format(d4=d4_file, full=full) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"argument {named}" in captured.err
+    assert "must be at least 1" in captured.err
 
 
 # ---------------------------------------------------------------------------

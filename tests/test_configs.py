@@ -173,12 +173,14 @@ def test_extend_standard_sizes():
 
 
 def test_remove_lines_drops_collinear_subsets():
-    from geproci.projgeom import flat_through
+    from geproci.combinat import line_census
     cfg = std_construction(6, "Y1")
     # the last 6 points are the external collinear set
-    line = flat_through(cfg.points[-2:])
-    removed = remove_lines(cfg, [line])
-    assert len(removed.points) == len(cfg.points) - 6
+    n = len(cfg.points)
+    run = next(r for r in line_census(cfg).runs if {n - 2, n - 1} <= set(r))
+    removed = remove_lines(cfg, [run])
+    assert len(removed.points) == n - 6
+    assert removed.points == cfg.points[:-6]
 
 
 def test_skeleton_flat_union():

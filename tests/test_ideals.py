@@ -30,7 +30,8 @@ from geproci.projgeom import ProjPoint, project_general, segre
 from oracles import (coprime_by_resultants, deletion_h_vectors_by_kernels,
                      eval_monomial,
                      fat_conditions_by_lines, fat_rows_by_entries,
-                     h_vector_by_ranks, rank_det_by_columns)
+                     h_vector_by_ranks, macaulay_matrix_by_loop,
+                     rank_det_by_columns)
 
 P = 1073741827
 
@@ -182,6 +183,17 @@ def test_macaulay_and_interp_ranks_agree_on_random_instances():
         lam = interp_matrix(scheme, d, P)
         T = macaulay_matrix(pts, d, Q, P)
         assert linalg.rank(lam, P) == linalg.rank(T, P)
+
+
+def test_macaulay_matrix_matches_entrywise_loop():
+    rng = random.Random(11)
+    for _ in range(40):
+        nvars, d = rng.randrange(2, 6), rng.randrange(1, 5)
+        pts = [rand_pt(rng, nvars) for _ in range(rng.randrange(1, 8))]
+        Q = [rng.choice([0, rng.randrange(P)]) for _ in range(nvars)]
+        np.testing.assert_array_equal(
+            macaulay_matrix(pts, d, Q, P),
+            macaulay_matrix_by_loop(pts, d, Q, P))
 
 
 def _fixture_interp_and_dual(Q):
